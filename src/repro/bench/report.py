@@ -285,13 +285,11 @@ def _resolve_jobs(args) -> int:
     worker processes than cores only adds contention, and combined with
     ``--threads`` would oversubscribe quadratically.
     """
-    import os
-
-    from ..parallel.pool import default_jobs
+    from ..parallel.tiles import usable_cores
 
     jobs = getattr(args, "jobs", 1)
-    jobs = default_jobs() if jobs == 0 else max(1, jobs)
-    return min(jobs, max(1, os.cpu_count() or 1))
+    cores = usable_cores()
+    return cores if jobs == 0 else min(max(1, jobs), cores)
 
 
 def _resolve_threads(args) -> int:

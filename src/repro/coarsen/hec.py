@@ -32,9 +32,6 @@ from ..parallel.execspace import ExecSpace
 from ..parallel.primitives import gen_perm, segment_max_index
 from ..parallel import tiles as _tiles
 from ..parallel.wavekernels import ClaimState
-from ..storage import budget as _budget
-from ..storage import chunked as _chunked
-from ..storage import mapped as _mapped
 from ..types import UNMAPPED, VI
 from .base import CoarseMapping, register_coarsener
 
@@ -48,50 +45,9 @@ __all__ = [
 
 _B = 8
 
-#: chunked heavy-neighbor live bytes per window entry (ewgts + adjncy
+#: heavy-neighbor live bytes per budget-window entry (ewgts + adjncy
 #: views + segment-max scratch)
 _HEAVY_BPE = 3 * _B
-
-
-def _heavy_neighbors_chunked(g: CSRGraph, b) -> np.ndarray:
-    """Row-windowed heavy-neighbor scan, byte-identical to the full pass."""
-    b.note_engaged()
-    h = np.full(g.n, UNMAPPED, dtype=VI)
-    degs = g.degrees()
-    win = b.window_entries(_HEAVY_BPE)
-    for r0, r1, e0, e1 in _chunked.row_windows(g.xadj, win):
-        b.note_window(e1 - e0, _HEAVY_BPE)
-        xw = np.asarray(g.xadj[r0 : r1 + 1]) - e0
-        idx = segment_max_index(None, g.ewgts[e0:e1], xw, lengths=degs[r0:r1])
-        adj_w = np.asarray(g.adjncy[e0:e1])
-        h[r0:r1] = np.where(idx >= 0, adj_w[np.clip(idx, 0, None)], UNMAPPED)
-        _mapped.advise_dontneed(g)
-    return h
-
-
-def _heavy_neighbors_tiled(g: CSRGraph, eng) -> np.ndarray:
-    """Tile-parallel heavy-neighbor scan, byte-identical to the full pass.
-
-    Same row-aligned decomposition as the budget windows; each tile's
-    per-window ``segment_max_index`` picks the same first-max winner as
-    the global call (rows never straddle tiles), and tiles write the
-    disjoint ``h[r0:r1]`` slices.  One wrinkle the budgeted twin shares:
-    the constant-weight fast path inside ``segment_max_index`` tests the
-    *tile's* weight slice, but first-entry winners are what the general
-    first-max scan picks for constant slices anyway, so the bytes agree
-    no matter which path fires per tile.
-    """
-    h = np.full(g.n, UNMAPPED, dtype=VI)
-    degs = g.degrees()
-
-    def tile(r0, r1, e0, e1):
-        xw = np.asarray(g.xadj[r0 : r1 + 1]) - e0
-        idx = segment_max_index(None, g.ewgts[e0:e1], xw, lengths=degs[r0:r1])
-        adj_w = np.asarray(g.adjncy[e0:e1])
-        h[r0:r1] = np.where(idx >= 0, adj_w[np.clip(idx, 0, None)], UNMAPPED)
-
-    eng.run_tiles(tile, eng.row_tiles(g.xadj))
-    return h
 
 
 def heavy_neighbors(g: CSRGraph, space: ExecSpace | None = None, phase: str = "mapping") -> np.ndarray:
@@ -102,27 +58,30 @@ def heavy_neighbors(g: CSRGraph, space: ExecSpace | None = None, phase: str = "m
     8).  Vertices with no neighbours get ``H[u] = -1``.
 
     This is the only edge-volume pass the wave engine needs — the
-    claim/inherit fixpoint itself runs on O(n) state — so under a
-    resident-memory budget it streams row-aligned windows instead of
-    materialising the full segment-max scratch.  The constant-weight
-    fast path inside :func:`segment_max_index` picks the same first-
-    entry winner as the general first-max scan, so per-window
-    application is byte-identical no matter which path fires.
+    claim/inherit fixpoint itself runs on O(n) state — so it is one
+    row-window body: under a resident-memory budget it streams windows
+    instead of materialising the full segment-max scratch, and under a
+    tile engine the windows run on the pool.  Rows never straddle a
+    window, so each window's ``segment_max_index`` picks the global
+    first-max winner; its constant-weight fast path tests the window's
+    weight slice, but first-entry winners are what the general scan
+    picks for constant slices anyway, so the bytes agree no matter
+    which path fires per window.
     """
-    b = _budget.current()
-    t = _tiles.current()
-    if g.m_directed == 0:
-        # edgeless graph (fully-collapsed components at a coarse level):
-        # every vertex is isolated, and the fancy-index below would poke
-        # an empty adjncy even though no index is ever selected
-        h = np.full(g.n, UNMAPPED, dtype=VI)
-    elif b is not None and b.engages(_HEAVY_BPE * g.m_directed):
-        h = _heavy_neighbors_chunked(g, b)
-    elif t is not None and t.engaged(g.m_directed):
-        h = _heavy_neighbors_tiled(g, t)
-    else:
-        idx = segment_max_index(None, g.ewgts, g.xadj, lengths=g.degrees())
-        h = np.where(idx >= 0, g.adjncy[np.clip(idx, 0, None)], UNMAPPED)
+    h = np.empty(g.n, dtype=VI)
+    degs = g.degrees()
+
+    def window(r0, r1, e0, e1):
+        xw = _tiles.local_xadj(g.xadj, r0, r1, e0)
+        idx = segment_max_index(None, g.ewgts[e0:e1], xw, lengths=degs[r0:r1])
+        out = h[r0:r1]
+        if e1 > e0:
+            # clip mode maps the -1 (empty-row) picks to entry 0; they
+            # are overwritten with the sentinel just below
+            np.take(g.adjncy[e0:e1], idx, out=out, mode="clip")
+        out[idx < 0] = UNMAPPED
+
+    _tiles.for_each_row_window(g, g.xadj, g.m_directed, _HEAVY_BPE, window)
     if space is not None:
         # One coalesced sweep over adjncy + ewgts, one write of H.  The
         # reduction runs team-per-row: hub rows exceed one team's span

@@ -37,6 +37,10 @@ __all__ = [
 
 _B = 8
 
+#: lane-scan live bytes per budget-window entry (lane ids + gather
+#: indices + neighbours + masked weights + unmatched mask)
+_LANE_BPE = 5 * _B
+
 
 def hem_serial(g: CSRGraph, space: ExecSpace) -> CoarseMapping:
     """Algorithm 2, direct transcription (loop-based reference)."""
@@ -75,44 +79,26 @@ def unmatched_heavy_neighbors(
     starts, stops = g.xadj[queue], g.xadj[queue + 1]
     lengths = stops - starts
     total = int(lengths.sum())
-    t = _tiles.current()
-    if total and t is not None and t.engaged(total):
-        # tile-parallel twin: lane-aligned tiles of the queued adjacency.
-        # The lane pointer depends only on the queue (deterministic
-        # algorithm state) and the tile constant; lanes never straddle a
-        # tile, so each tile's segment argmax picks the same first-max
-        # winner as the global scan, and tiles write disjoint h[q0:q1].
-        lane_xadj = np.zeros(len(queue) + 1, dtype=VI)
-        np.cumsum(lengths, out=lane_xadj[1:])
+    # the lane pointer depends only on the queue (deterministic
+    # algorithm state); lanes never straddle a window, so each window's
+    # segment argmax picks the same first-max winner as one global scan
+    lane_xadj = np.zeros(len(queue) + 1, dtype=VI)
+    np.cumsum(lengths, out=lane_xadj[1:])
 
-        def tile(q0, q1, e0, e1):
-            local_xadj = lane_xadj[q0 : q1 + 1] - e0
-            lane_l = np.repeat(np.arange(q1 - q0, dtype=VI), lengths[q0:q1])
-            idx_w = (
-                np.arange(e1 - e0, dtype=VI)
-                - local_xadj[lane_l]
-                + starts[q0:q1][lane_l]
-            )
-            nbr_w = g.adjncy[idx_w]
-            wt_w = np.where(m[nbr_w] == UNMAPPED, g.ewgts[idx_w], -np.inf)
-            best_w = segment_max_index(None, wt_w, local_xadj)
-            ok_w = best_w >= 0
-            ok_w[ok_w] &= np.isfinite(wt_w[best_w[ok_w]])
-            h[q0:q1][ok_w] = nbr_w[best_w[ok_w]]
-
-        t.run_tiles(tile, t.row_tiles(lane_xadj))
-    elif total:
-        lane = np.repeat(np.arange(len(queue), dtype=VI), lengths)
-        lane_xadj = np.zeros(len(queue) + 1, dtype=VI)
-        np.cumsum(lengths, out=lane_xadj[1:])
-        idx = np.arange(total, dtype=VI) - lane_xadj[lane] + starts[lane]
+    def window(q0, q1, e0, e1):
+        local = _tiles.local_xadj(lane_xadj, q0, q1, e0)
+        lane = np.repeat(np.arange(q1 - q0, dtype=VI), lengths[q0:q1])
+        idx = np.arange(e1 - e0, dtype=VI) - local[lane] + starts[q0:q1][lane]
         nbr = g.adjncy[idx]
         wt = np.where(m[nbr] == UNMAPPED, g.ewgts[idx], -np.inf)
         # per-lane argmax (first maximum, as in the strictly-greater scan)
-        best = segment_max_index(None, wt, lane_xadj)
+        best = segment_max_index(None, wt, local)
         ok = best >= 0
         ok[ok] &= np.isfinite(wt[best[ok]])
-        h[ok] = nbr[best[ok]]
+        h[q0:q1][ok] = nbr[best[ok]]
+
+    if total:
+        _tiles.for_each_row_window(g, lane_xadj, total, _LANE_BPE, window)
     space.ledger.charge(
         phase,
         KernelCost(

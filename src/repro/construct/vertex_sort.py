@@ -11,6 +11,8 @@ sweep first halves and *balances* the bins, and a final transpose pass
 
 from __future__ import annotations
 
+from contextlib import ExitStack
+
 import numpy as np
 
 from ..coarsen.base import CoarseMapping
@@ -19,9 +21,7 @@ from ..parallel.cost import KernelCost
 from ..parallel.execspace import ExecSpace
 from ..parallel import tiles as _tiles
 from ..parallel.primitives import stable_key_sort
-from ..storage import budget as _budget
 from ..storage import chunked as _chunked
-from ..storage import mapped as _mapped
 from ..types import VI, WT
 from .base import (
     coarse_vertex_weights,
@@ -34,7 +34,7 @@ __all__ = ["construct_sort", "sorted_dedup", "sort_cost_keyops"]
 
 _B = 8
 
-#: chunked map-sweep live bytes per window entry (adjncy view + mapped
+#: map-sweep live bytes per budget-window entry (adjncy view + mapped
 #: pair + cross mask + packed key + estimate gathers)
 _CONSTRUCT_BPE = 5 * _B
 
@@ -45,6 +45,77 @@ def sort_cost_keyops(bin_sizes: np.ndarray) -> float:
     if len(k) == 0:
         return 0.0
     return float((k * np.ceil(np.log2(k))).sum())
+
+
+def _resident_dedup(key: np.ndarray, w: np.ndarray | None, row_bounds: np.ndarray, eng):
+    """Sort fused ``(mu, mv)`` keys and merge equal runs, in memory.
+
+    Returns ``(distinct keys, merged weights, bins)``; ``bins`` are the
+    per-source-bin sizes of the *pre-dedup* keys (for the sort/spill
+    pricing): the sorted key makes each source's run contiguous, so the
+    bins fall out of ``n_c`` binary searches for the ``row_bounds``
+    instead of a scatter-add over all entries.  Unit-weight callers pass
+    ``w=None``: run lengths ARE the summed unit weights, bit-exactly, so
+    the key sorts bare (in place).  Weighted keys take one stable packed
+    sort, and each run's weights sum left to right in one ``reduceat``
+    segment — bitwise-equal to the sequential scatter-add merge sweep.
+    """
+    c = len(key)
+    if w is None:
+        # bare keys are multiset-canonical: tiled runs + pairwise
+        # merges reproduce np.sort bitwise (see repro.parallel.tiles)
+        if eng is not None:
+            _tiles.parallel_sort(key, eng)
+        else:
+            key.sort()
+        key_s = key
+    else:
+        order, key_s = stable_key_sort(key, int(row_bounds[-1]), eng=eng)
+    if c:
+        new_run = np.empty(c, dtype=bool)
+        new_run[0] = True
+        new_run[1:] = key_s[1:] != key_s[:-1]
+        first = np.flatnonzero(new_run)
+        if w is None:
+            w_d = np.diff(np.append(first, c)).astype(WT)
+        else:
+            w_d = np.add.reduceat(w[order], first).astype(WT, copy=False)
+        key_d = key_s[first]
+    else:
+        key_d = np.zeros(0, dtype=VI)
+        w_d = np.zeros(0, dtype=WT)
+    return key_d, w_d, np.diff(np.searchsorted(key_s, row_bounds))
+
+
+def _charge_dedup(space: ExecSpace, phase: str, total: int, bins: np.ndarray) -> None:
+    """The sort-dedup charge: binning scatter, per-bin sorts, merge sweep.
+
+    Team-serialisation penalty: a bin is sorted by one team, in shared
+    memory while it fits; oversized bins (hub coarse vertices on skewed
+    graphs) spill to device memory and serialise — the effect the
+    degree-based keep-side sweep exists to prevent (25.7x on kron21,
+    Section IV-A).  A team's shared memory holds ~4k key-value pairs;
+    bitonic networks do log^2 passes, so a spilled sort pays several
+    extra global sweeps.
+    """
+    big = bins[bins > 1]
+    spill = 4.0 * float((big * np.log2(1.0 + big / 4096.0)).sum()) if len(big) else 0.0
+    space.ledger.charge(
+        phase,
+        KernelCost(
+            # binning scatter (F/X writes) + dedup sweep + compaction
+            stream_bytes=4.0 * _B * total,
+            random_bytes=2.0 * _B * total,
+            sort_key_ops=sort_cost_keyops(bins),
+            spill_ops=spill,
+            launches=3,
+        ),
+    )
+
+
+def _pow2_shift(n_c: int) -> int:
+    """Bits of the power-of-two radix that packs a coarse id pair."""
+    return max(1, int(n_c - 1).bit_length()) if n_c > 1 else 1
 
 
 def sorted_dedup(
@@ -60,10 +131,10 @@ def sorted_dedup(
     """DEDUPWITHWTS by sorting: bin by ``mu``, sort bins by ``mv``, merge runs.
 
     Returns deduplicated ``(mu, mv, w)`` with weights of parallel coarse
-    edges summed.  The NumPy realisation is a single lexsort — the
-    *charged* cost is per-bin sorting, which is what the algorithm does.
-    Callers on unit-weight graphs pass ``w=None``: the merged weights
-    are exactly the duplicate counts, so no weight array or sort
+    edges summed.  The NumPy realisation is one sort of the fused key —
+    the *charged* cost is per-bin sorting, which is what the algorithm
+    does.  Callers on unit-weight graphs pass ``w=None``: the merged
+    weights are exactly the duplicate counts, so no weight array or sort
     permutation is needed and the key sorts bare.  Such callers that
     already hold the power-of-two fused key (built before their own
     compaction, which is cheaper than packing after it) pass it as
@@ -76,7 +147,7 @@ def sorted_dedup(
         # power-of-two radix: same (mu, mv) lex order, and the pair
         # unpacks from the sorted key with a shift and a mask; the key
         # stays 32-bit when the packed pair fits, halving sort bandwidth
-        shift = max(1, int(n_c - 1).bit_length()) if n_c > 1 else 1
+        shift = _pow2_shift(n_c)
         if packed is not None:
             key = packed
             key_t = key.dtype.type
@@ -87,64 +158,67 @@ def sorted_dedup(
                 else np.int64
             )
             key = mu * key_t(1 << shift) + mv
-        if eng is not None:
-            # bare keys are multiset-canonical: tiled runs + pairwise
-            # merges reproduce np.sort bitwise (see repro.parallel.tiles)
-            _tiles.parallel_sort(key, eng)
-        else:
-            key.sort()
-        # the sorted key makes each source's bin contiguous: bin sizes
-        # come from n_c boundary searches instead of a scatter-add
-        bins = np.diff(np.searchsorted(key, np.arange(n_c + 1, dtype=key_t) << shift))
-        if total:
-            new_run = np.empty(total, dtype=bool)
-            new_run[0] = True
-            new_run[1:] = key[1:] != key[:-1]
-            first = np.flatnonzero(new_run)
-            key_d = key[first]
-            mu = key_d >> shift
-            mv = key_d & key_t((1 << shift) - 1)
-            # run lengths ARE the summed unit weights, bit-exactly
-            w = np.diff(np.append(first, total)).astype(WT)
-        else:
-            if packed is not None:
-                mu = mv = np.zeros(0, dtype=VI)  # no pair arrays were passed
-            w = np.zeros(0, dtype=WT)
+        key_d, w, bins = _resident_dedup(
+            key, None, np.arange(n_c + 1, dtype=key_t) << shift, eng
+        )
+        mu, mv = key_d >> shift, key_d & key_t((1 << shift) - 1)
     else:
         # one stable radix sort of the fused (mu, mv) key == lexsort((mv, mu))
-        order, key = stable_key_sort(mu * np.int64(n_c) + mv, n_c * n_c, eng=eng)
-        mu, mv, w = mu[order], mv[order], w[order]
-        bins = np.diff(np.searchsorted(key, np.arange(n_c + 1, dtype=np.int64) * np.int64(n_c)))
-        if total:
-            new_run = np.empty(total, dtype=bool)
-            new_run[0] = True
-            new_run[1:] = key[1:] != key[:-1]
-            first = np.flatnonzero(new_run)
-            # reduceat sums each equal-key run left to right — bitwise-equal
-            # to the sequential scatter-add merge sweep
-            wsum = np.add.reduceat(w, first).astype(WT, copy=False)
-            mu, mv, w = mu[first], mv[first], wsum
-    # team-serialisation penalty: a bin is sorted by one team, in shared
-    # memory while it fits; oversized bins (hub coarse vertices on
-    # skewed graphs) spill to device memory and serialise — the effect
-    # the degree-based keep-side sweep exists to prevent (25.7x on
-    # kron21, Section IV-A).  A team's shared memory holds ~4k key-value
-    # pairs; bitonic networks do log^2 passes, so a spilled sort pays
-    # several extra global sweeps.
-    big = bins[bins > 1]
-    spill = 4.0 * float((big * np.log2(1.0 + big / 4096.0)).sum()) if len(big) else 0.0
+        key_d, w, bins = _resident_dedup(
+            mu * np.int64(n_c) + mv, w, np.arange(n_c + 1, dtype=np.int64) * np.int64(n_c), eng
+        )
+        mu, mv = key_d // np.int64(n_c), key_d % np.int64(n_c)
+    _charge_dedup(space, phase, total, bins)
+    return mu, mv, w
+
+
+def _charge_map_sweep(space: ExecSpace, g: CSRGraph) -> None:
+    """The map sweep: stream the CSR arrays, gather ``m`` per entry."""
     space.ledger.charge(
-        phase,
+        "construction",
         KernelCost(
-            # binning scatter (F/X writes) + dedup sweep + compaction
-            stream_bytes=4.0 * _B * total if total else 0.0,
-            random_bytes=2.0 * _B * total if total else 0.0,
-            sort_key_ops=sort_cost_keyops(bins),
-            spill_ops=spill,
-            launches=3,
+            stream_bytes=3.0 * _B * g.m_directed + 2.0 * _B * g.n,
+            random_bytes=_B * g.m_directed,
+            launches=1,
         ),
     )
-    return mu, mv, w
+
+
+def _charge_cross_count(space: ExecSpace, c: int, n_c: int) -> None:
+    """C' of Algorithm 6: per-source cross counts by atomic increments."""
+    space.ledger.charge(
+        "construction",
+        KernelCost(
+            stream_bytes=_B * c + _B * n_c,
+            random_bytes=_B * c,
+            atomic_ops=float(c),
+            launches=1,
+        ),
+    )
+
+
+def _charge_keep_side(space: ExecSpace, c: int) -> None:
+    """The keep-side predicate over the ``c`` cross entries."""
+    space.ledger.charge(
+        "construction",
+        KernelCost(stream_bytes=3.0 * _B * c, random_bytes=2.0 * _B * c, launches=1),
+    )
+
+
+def _transpose_finalize(n_c, mu, mv, w, vwgts, space: ExecSpace, name: str) -> CSRGraph:
+    """GraphConsWithTrans: emit the ``<v, u>`` reverses and rebuild rows."""
+    mu, mv = np.concatenate([mu, mv]), np.concatenate([mv, mu])
+    w = np.concatenate([w, w])
+    space.ledger.charge(
+        "construction",
+        KernelCost(
+            stream_bytes=6.0 * _B * len(mu),
+            random_bytes=2.0 * _B * len(mu),  # scatter into rows
+            atomic_ops=float(len(mu)) / 2.0,  # per-row slot counters
+            launches=2,
+        ),
+    )
+    return finalize_csr(n_c, mu, mv, w, vwgts, name)
 
 
 @register_constructor("sort")
@@ -159,19 +233,18 @@ def construct_sort(g: CSRGraph, mapping: CoarseMapping, space: ExecSpace) -> CSR
     ``degree_estimates`` → ``keep_lighter_end`` → ``sorted_dedup`` on
     the intermediate cross-edge arrays, which are never materialised.
 
-    Under an installed :mod:`repro.storage.budget` whose ceiling is
-    below the edge-volume transients, construction streams row-aligned
-    windows and spills compacted sort keys to disk — results, ledger
-    charges, and trace spans stay byte-identical (see
-    ``_construct_sort_regular_budgeted``).
+    The map sweep is one row-window plan
+    (:class:`repro.parallel.tiles.RowWindowPlan`).  Under an installed
+    :mod:`repro.storage.budget` whose ceiling is below the edge-volume
+    transients, construction streams its windows and spills compacted
+    sort keys to disk — results, ledger charges, and trace spans stay
+    byte-identical (see ``_spilled_dedup``).
     """
-    b = _budget.current()
-    if b is not None and b.engages(_CONSTRUCT_BPE * g.m_directed):
-        if is_skewed(g):
-            return _construct_sort_skewed_budgeted(g, mapping, space, b)
-        return _construct_sort_regular_budgeted(g, mapping, space, b)
+    plan = _tiles.RowWindowPlan(g, g.xadj, g.m_directed, _CONSTRUCT_BPE)
     if not is_skewed(g):
-        return _construct_sort_regular(g, mapping, space)
+        return _construct_sort_regular(g, mapping, space, plan)
+    if plan.budget is not None:
+        return _construct_sort_skewed_budgeted(g, mapping, space, plan)
 
     n_c = mapping.n_c
     unit_w = g.has_unit_ewgts()
@@ -181,14 +254,7 @@ def construct_sort(g: CSRGraph, mapping: CoarseMapping, space: ExecSpace) -> CSR
     mu = np.repeat(m, g.degrees())
     mv = m[g.adjncy]
     cross = mu != mv
-    space.ledger.charge(
-        "construction",
-        KernelCost(
-            stream_bytes=3.0 * _B * g.m_directed + 2.0 * _B * g.n,
-            random_bytes=_B * g.m_directed,
-            launches=1,
-        ),
-    )
+    _charge_map_sweep(space, g)
     vwgts = coarse_vertex_weights(g, mapping, space)
 
     with space.span("dedup", strategy="sort", skew_opt=True):
@@ -197,15 +263,7 @@ def construct_sort(g: CSRGraph, mapping: CoarseMapping, space: ExecSpace) -> CSR
         # bincount counts exactly the cross entries per source
         dt = np.int32 if c < (1 << 31) else VI
         c_prime = np.bincount(mu, weights=cross, minlength=n_c).astype(dt)
-        space.ledger.charge(
-            "construction",
-            KernelCost(
-                stream_bytes=_B * c + _B * n_c,
-                random_bytes=_B * c,
-                atomic_ops=float(c),
-                launches=1,
-            ),
-        )
+        _charge_cross_count(space, c, n_c)
         # keep-side predicate on the full arrays (charge-identical to
         # keep_lighter_end over the c cross entries).  The estimates are
         # gathered through the fine-vertex table: ``c_prime[mu]`` is a
@@ -216,18 +274,11 @@ def construct_sort(g: CSRGraph, mapping: CoarseMapping, space: ExecSpace) -> CSR
         cu_est = np.repeat(cp_fine, g.degrees())
         cv_est = cp_fine[g.adjncy]
         keep = cross & ((cu_est < cv_est) | ((cu_est == cv_est) & g.tie_mask()))
-        space.ledger.charge(
-            "construction",
-            KernelCost(
-                stream_bytes=3.0 * _B * c,
-                random_bytes=2.0 * _B * c,
-                launches=1,
-            ),
-        )
+        _charge_keep_side(space, c)
         if unit_w:
             # pack the fused key on the full arrays and compress once —
             # the kept pair is never materialised before dedup
-            shift = max(1, int(n_c - 1).bit_length()) if n_c > 1 else 1
+            shift = _pow2_shift(n_c)
             key_t = (
                 np.int32
                 if mu.dtype == np.int32 and (n_c << shift) < (1 << 31)
@@ -237,22 +288,12 @@ def construct_sort(g: CSRGraph, mapping: CoarseMapping, space: ExecSpace) -> CSR
             mu, mv, w = sorted_dedup(None, None, None, n_c, space, packed=packed)
         else:
             mu, mv, w = sorted_dedup(mu[keep], mv[keep], g.ewgts[keep], n_c, space)
-    # GraphConsWithTrans: emit the <v, u> reverses and rebuild rows
-    mu, mv = np.concatenate([mu, mv]), np.concatenate([mv, mu])
-    w = np.concatenate([w, w])
-    space.ledger.charge(
-        "construction",
-        KernelCost(
-            stream_bytes=6.0 * _B * len(mu),
-            random_bytes=2.0 * _B * len(mu),  # scatter into rows
-            atomic_ops=float(len(mu)) / 2.0,  # per-row slot counters
-            launches=2,
-        ),
-    )
-    return finalize_csr(n_c, mu, mv, w, vwgts, g.name)
+    return _transpose_finalize(n_c, mu, mv, w, vwgts, space, g.name)
 
 
-def _construct_sort_regular(g: CSRGraph, mapping: CoarseMapping, space: ExecSpace) -> CSRGraph:
+def _construct_sort_regular(
+    g: CSRGraph, mapping: CoarseMapping, space: ExecSpace, plan
+) -> CSRGraph:
     """Fused regular-degree path: map, dedup and assemble in one pipeline.
 
     Bit- and charge-identical to ``mapped_cross_edges`` → ``sorted_dedup``
@@ -260,7 +301,11 @@ def _construct_sort_regular(g: CSRGraph, mapping: CoarseMapping, space: ExecSpac
     weights are ever materialised: fine endpoints are never built (the
     keep-side predicate only runs on skewed inputs), the coarse id pair
     is carried as one radix-sortable word, and the final CSR comes
-    straight from the sorted key runs.
+    straight from the sorted key runs.  The map sweep runs on ``plan``:
+    resident and tiled sweeps keep the key fragments in memory (tile
+    fragments concatenated in tile order equal the global array — row
+    tiles partition edge space in row order); a budgeted sweep spills
+    them and deduplicates out of core.
     """
     n_c = mapping.n_c
     m = mapping.m
@@ -270,7 +315,7 @@ def _construct_sort_regular(g: CSRGraph, mapping: CoarseMapping, space: ExecSpac
     # surviving cross edges.  The radix is the next power of two above
     # n_c so the pair unpacks with a shift and a mask instead of an
     # integer division; the sort order is the same (mu, mv) lex order.
-    shift = max(1, int(n_c - 1).bit_length()) if n_c > 1 else 1
+    shift = _pow2_shift(n_c)
     # unit-weight fine graphs (every level-0 input): merged weights are
     # exactly the duplicate counts, so neither the weight array nor the
     # sort permutation is ever needed — the key sorts bare.  Those bare
@@ -283,98 +328,42 @@ def _construct_sort_regular(g: CSRGraph, mapping: CoarseMapping, space: ExecSpac
         if unit_w and m.dtype == np.int32 and (n_c << shift) < (1 << 31)
         else np.int64
     )
-    t = _tiles.current()
-    if t is not None and t.engaged(g.m_directed):
-        # tile-parallel map sweep: per-tile key fragments concatenated
-        # in tile order equal the fused-then-compressed global array
-        # (row tiles partition edge space in row order)
-        degs = g.degrees()
+    degs = g.degrees()
 
-        def tile(r0, r1, e0, e1):
-            mu_w, mv_w, cross_w, _adj = _mapped_pair_window(m, g, degs, r0, r1, e0, e1)
-            frag = (mu_w * key_t(1 << shift) + mv_w)[cross_w]
-            if unit_w:
-                return frag, None
-            return frag, np.asarray(g.ewgts[e0:e1])[cross_w]
-
-        parts = t.map_tiles(tile, t.row_tiles(g.xadj))
-        key = (
-            np.concatenate([p[0] for p in parts])
-            if parts
-            else np.zeros(0, dtype=key_t)
-        )
-        w = (
-            None
-            if unit_w
-            else (
-                np.concatenate([p[1] for p in parts])
-                if parts
-                else np.zeros(0, dtype=WT)
-            )
-        )
-    else:
-        mu = np.repeat(m, g.degrees())
-        mv = m[g.adjncy]
-        cross = mu != mv
-        # fuse over the full arrays, then compress once: one boolean-mask
+    def window(r0, r1, e0, e1):
+        mu_w, mv_w, cross_w, _adj = _mapped_pair_window(m, g, degs, r0, r1, e0, e1)
+        # fuse over the window, then compress once: one boolean-mask
         # pass instead of two
-        key = (mu * key_t(1 << shift) + mv)[cross]
-        w = None if unit_w else g.ewgts[cross]
-    space.ledger.charge(
-        "construction",
-        KernelCost(
-            stream_bytes=3.0 * _B * g.m_directed + 2.0 * _B * g.n,
-            random_bytes=_B * g.m_directed,
-            launches=1,
-        ),
-    )
-    vwgts = coarse_vertex_weights(g, mapping, space)
+        key_w = (mu_w * key_t(1 << shift) + mv_w)[cross_w]
+        return key_w, None if unit_w else np.asarray(g.ewgts[e0:e1])[cross_w]
 
-    c = len(key)
-    with space.span("dedup", strategy="sort", skew_opt=False):
-        eng = t if t is not None and t.engaged(c) else None
-        if unit_w:
-            if eng is not None:
-                _tiles.parallel_sort(key, eng)
-            else:
-                key.sort()
-            key_s = key
+    with ExitStack() as stack:
+        if plan.budget is None:
+            parts = plan.run(window)
+            key = _tiles.join_windows([p[0] for p in parts])
+            w = None if unit_w else _tiles.join_windows([p[1] for p in parts])
         else:
-            order, key_s = stable_key_sort(key, n_c << shift, eng=eng)
-        if c:
-            new_run = np.empty(c, dtype=bool)
-            new_run[0] = True
-            new_run[1:] = key_s[1:] != key_s[:-1]
-            first = np.flatnonzero(new_run)
-            pair_counts = np.diff(np.append(first, c)).astype(np.float64)
-            if unit_w:
-                # run lengths ARE the summed unit weights, bit-exactly
-                w_d = pair_counts
-            else:
-                w_d = np.add.reduceat(w[order], first).astype(WT, copy=False)
-            key_d = key_s[first]
-            cv = key_d & key_t((1 << shift) - 1)
-        else:
-            key_d = cv = np.zeros(0, dtype=VI)
-            w_d = np.zeros(0, dtype=WT)
-        # per-source-bin sizes of the *pre-dedup* cross edges, for the
-        # sort/spill pricing.  The sorted key makes each source's run
-        # contiguous, so the bins fall out of n_c binary searches for
-        # the row boundaries instead of a scatter-add over all entries.
+            arena = stack.enter_context(_chunked.SpillArena())
+            key, w = _spill_sweep(plan, window, arena, key_t, unit_w)
+        _charge_map_sweep(space, g)
+        vwgts = coarse_vertex_weights(g, mapping, space)
+
+        c = len(key)
         row_bounds = np.arange(n_c + 1, dtype=key_t) << shift
-        bins = np.diff(np.searchsorted(key_s, row_bounds))
-        big = bins[bins > 1]
-        spill = 4.0 * float((big * np.log2(1.0 + big / 4096.0)).sum()) if len(big) else 0.0
-        space.ledger.charge(
-            "construction",
-            KernelCost(
-                stream_bytes=4.0 * _B * c,
-                random_bytes=2.0 * _B * c,
-                sort_key_ops=sort_cost_keyops(bins),
-                spill_ops=spill,
-                launches=3,
-            ),
-        )
+        with space.span("dedup", strategy="sort", skew_opt=False):
+            spilled = plan.budget is not None and _spilled_dedup(
+                key, w, row_bounds, plan.window, arena
+            )
+            if spilled:
+                key_d, w_d, bins = spilled
+            else:
+                if plan.budget is not None:  # packed word would overflow
+                    key, w = np.array(key), np.array(w)
+                t = _tiles.current()
+                eng = t if t is not None and t.engaged(c) else None
+                key_d, w_d, bins = _resident_dedup(key, w, row_bounds, eng)
+            _charge_dedup(space, "construction", c, bins)
+    cv = key_d & key_t((1 << shift) - 1)
     space.ledger.charge(
         "construction",
         KernelCost(stream_bytes=4.0 * _B * len(cv), launches=1),
@@ -386,7 +375,7 @@ def _construct_sort_regular(g: CSRGraph, mapping: CoarseMapping, space: ExecSpac
 
 
 # --------------------------------------------------------------------------
-# budgeted (out-of-core) variants
+# budgeted (out-of-core) dedup
 #
 # The streaming discipline that keeps these byte-identical to the
 # in-memory paths above:
@@ -412,6 +401,24 @@ def _mapped_pair_window(m, g, degs, r0, r1, e0, e1):
     return mu_w, mv_w, mu_w != mv_w, adj_w
 
 
+def _spill_sweep(plan, body, arena, key_t, unit_w: bool):
+    """Run ``body`` on the budget windows, spilling each ``(key, w)``.
+
+    Only one window's fragment is resident at a time; returns the
+    finished key (and weight) memmaps.
+    """
+    key_sf = arena.create("key", key_t)
+    w_sf = None if unit_w else arena.create("w", WT)
+
+    def spill(part):
+        key_sf.append(part[0])
+        if w_sf is not None:
+            w_sf.append(part[1])
+
+    plan.run(body, spill)
+    return key_sf.finish(), None if unit_w else w_sf.finish()
+
+
 def _stream_pack_index(key_mm, arena, win, idx_bits):
     """Re-spill bare keys as ``(key << idx_bits) + position`` words."""
     packed_sf = arena.create("packed", np.int64)
@@ -429,271 +436,110 @@ def _packable(c: int, key_bound: int) -> tuple[bool, int]:
     return idx_bits + key_bits <= 63, idx_bits
 
 
-def _construct_sort_regular_budgeted(
-    g: CSRGraph, mapping: CoarseMapping, space: ExecSpace, b
-) -> CSRGraph:
-    """Out-of-core rendering of ``_construct_sort_regular``."""
-    b.note_engaged()
-    n_c = mapping.n_c
-    m = mapping.m
-    if g.n < (1 << 31):
-        m = m.astype(np.int32)
-    shift = max(1, int(n_c - 1).bit_length()) if n_c > 1 else 1
-    unit_w = g.has_unit_ewgts()
-    key_t = (
-        np.int32
-        if unit_w and m.dtype == np.int32 and (n_c << shift) < (1 << 31)
-        else np.int64
-    )
-    degs = g.degrees()
-    win = b.window_entries(_CONSTRUCT_BPE)
-    with _chunked.SpillArena() as arena:
-        key_sf = arena.create("key", key_t)
-        w_sf = None if unit_w else arena.create("w", WT)
-        for r0, r1, e0, e1 in _chunked.row_windows(g.xadj, win):
-            b.note_window(e1 - e0, _CONSTRUCT_BPE)
-            mu_w, mv_w, cross_w, _adj = _mapped_pair_window(m, g, degs, r0, r1, e0, e1)
-            key_sf.append((mu_w * key_t(1 << shift) + mv_w)[cross_w])
-            if not unit_w:
-                w_sf.append(np.asarray(g.ewgts[e0:e1])[cross_w])
-            _mapped.advise_dontneed(g)
-        space.ledger.charge(
-            "construction",
-            KernelCost(
-                stream_bytes=3.0 * _B * g.m_directed + 2.0 * _B * g.n,
-                random_bytes=_B * g.m_directed,
-                launches=1,
-            ),
-        )
-        vwgts = coarse_vertex_weights(g, mapping, space)
+def _spilled_dedup(key_mm, w_mm, row_bounds, win: int, arena):
+    """Out-of-core :func:`_resident_dedup` of spilled keys.
 
-        c = len(key_sf)
-        key_mm = key_sf.finish()
-        row_bounds = np.arange(n_c + 1, dtype=key_t) << shift
-        with space.span("dedup", strategy="sort", skew_opt=False):
-            if unit_w:
-                key_s = _chunked.external_sort(key_mm, win, arena)
-                if c:
-                    key_d, counts = _chunked.unit_runs_stream(key_s, win)
-                    w_d = counts.astype(np.float64)
-                    cv = key_d & key_t((1 << shift) - 1)
-                else:
-                    key_d = cv = np.zeros(0, dtype=VI)
-                    w_d = np.zeros(0, dtype=WT)
-                bins = np.diff(np.searchsorted(key_s, row_bounds))
-            else:
-                w_mm = w_sf.finish()
-                ok, idx_bits = _packable(c, n_c << shift)
-                if ok:
-                    packed_mm = _stream_pack_index(key_mm, arena, win, idx_bits)
-                    packed_s = _chunked.external_sort(packed_mm, win, arena)
-                    if c:
-                        key_d, w_d = _chunked.weighted_runs_stream(
-                            packed_s, idx_bits, w_mm, win
-                        )
-                        w_d = w_d.astype(WT, copy=False)
-                        cv = key_d & np.int64((1 << shift) - 1)
-                    else:
-                        key_d = cv = np.zeros(0, dtype=VI)
-                        w_d = np.zeros(0, dtype=WT)
-                    bins = np.diff(
-                        np.searchsorted(
-                            packed_s, row_bounds.astype(np.int64) << np.int64(idx_bits)
-                        )
-                    )
-                else:  # packed word would overflow: sort the keys resident
-                    key = np.array(key_mm)
-                    w = np.array(w_mm)
-                    order, key_s = stable_key_sort(key, n_c << shift)
-                    if c:
-                        new_run = np.empty(c, dtype=bool)
-                        new_run[0] = True
-                        new_run[1:] = key_s[1:] != key_s[:-1]
-                        first = np.flatnonzero(new_run)
-                        w_d = np.add.reduceat(w[order], first).astype(WT, copy=False)
-                        key_d = key_s[first]
-                        cv = key_d & key_t((1 << shift) - 1)
-                    else:
-                        key_d = cv = np.zeros(0, dtype=VI)
-                        w_d = np.zeros(0, dtype=WT)
-                    bins = np.diff(np.searchsorted(key_s, row_bounds))
-            big = bins[bins > 1]
-            spill = (
-                4.0 * float((big * np.log2(1.0 + big / 4096.0)).sum()) if len(big) else 0.0
-            )
-            space.ledger.charge(
-                "construction",
-                KernelCost(
-                    stream_bytes=4.0 * _B * c,
-                    random_bytes=2.0 * _B * c,
-                    sort_key_ops=sort_cost_keyops(bins),
-                    spill_ops=spill,
-                    launches=3,
-                ),
-            )
-        space.ledger.charge(
-            "construction",
-            KernelCost(stream_bytes=4.0 * _B * len(cv), launches=1),
-        )
-        xadj = np.searchsorted(key_d, row_bounds).astype(VI)
-        return CSRGraph(xadj, cv, w_d, vwgts, g.name)
+    Same ``(distinct keys, merged weights, bins)`` contract, with about
+    ``win`` entries resident: unit keys external-sort bare and count
+    runs; weighted keys are re-spilled as unique packed
+    ``(key << idx_bits) + index`` words, so the external sort's order
+    is the stable argsort and each run's weights sum in one segment.
+    Returns None when that packed word would overflow int64 — the
+    caller then deduplicates resident.
+    """
+    if w_mm is None:
+        key_s = _chunked.external_sort(key_mm, win, arena)
+        key_d, counts = _chunked.unit_runs_stream(key_s, win)
+        return key_d, counts.astype(WT), np.diff(np.searchsorted(key_s, row_bounds))
+    ok, idx_bits = _packable(len(key_mm), int(row_bounds[-1]))
+    if not ok:
+        return None
+    packed_mm = _stream_pack_index(key_mm, arena, win, idx_bits)
+    packed_s = _chunked.external_sort(packed_mm, win, arena)
+    key_d, w_d = _chunked.weighted_runs_stream(packed_s, idx_bits, w_mm, win)
+    bins = np.diff(
+        np.searchsorted(packed_s, row_bounds.astype(np.int64) << np.int64(idx_bits))
+    )
+    return key_d, w_d.astype(WT, copy=False), bins
 
 
 def _construct_sort_skewed_budgeted(
-    g: CSRGraph, mapping: CoarseMapping, space: ExecSpace, b
+    g: CSRGraph, mapping: CoarseMapping, space: ExecSpace, plan
 ) -> CSRGraph:
     """Out-of-core rendering of the skewed ``construct_sort`` path.
 
-    Two streaming passes over the edge windows: pass A accumulates the
-    cross count and the per-coarse-vertex cross-degree estimates
-    (partial 0/1 bincounts sum exactly); pass B re-derives the mapped
-    pair, applies the keep-side predicate with a per-window tie-break
-    (``src < adjncy`` — never the cached full-length
+    Two sweeps of the same budget windows: pass A accumulates the cross
+    count and the per-coarse-vertex cross-degree estimates (partial 0/1
+    bincounts sum exactly); pass B re-derives the mapped pair, applies
+    the keep-side predicate with a per-window tie-break (``src <
+    adjncy`` — never the cached full-length
     :meth:`~repro.csr.graph.CSRGraph.tie_mask`), and spills the kept
     dedup keys.
     """
-    b.note_engaged()
     n_c = mapping.n_c
     unit_w = g.has_unit_ewgts()
     m = mapping.m
     if g.n < (1 << 31):
         m = m.astype(np.int32)
     degs = g.degrees()
-    win = b.window_entries(_CONSTRUCT_BPE)
     idx_t = np.int32 if g.n < (1 << 31) else VI
 
-    c_count = 0
-    cp_acc = np.zeros(n_c, dtype=np.float64)
-    for r0, r1, e0, e1 in _chunked.row_windows(g.xadj, win):
-        b.note_window(e1 - e0, _CONSTRUCT_BPE)
+    def count(r0, r1, e0, e1):
         mu_w, _mv, cross_w, _adj = _mapped_pair_window(m, g, degs, r0, r1, e0, e1)
-        c_count += int(np.count_nonzero(cross_w))
-        cp_acc += np.bincount(mu_w, weights=cross_w, minlength=n_c)
-        _mapped.advise_dontneed(g)
-    space.ledger.charge(
-        "construction",
-        KernelCost(
-            stream_bytes=3.0 * _B * g.m_directed + 2.0 * _B * g.n,
-            random_bytes=_B * g.m_directed,
-            launches=1,
-        ),
-    )
+        return np.count_nonzero(cross_w), np.bincount(mu_w, weights=cross_w, minlength=n_c)
+
+    c = 0
+    cp_acc = np.zeros(n_c, dtype=np.float64)
+
+    def accumulate(part):
+        nonlocal c, cp_acc
+        c += int(part[0])
+        cp_acc += part[1]
+
+    plan.run(count, accumulate)
+    _charge_map_sweep(space, g)
     vwgts = coarse_vertex_weights(g, mapping, space)
 
     with space.span("dedup", strategy="sort", skew_opt=True), _chunked.SpillArena() as arena:
-        c = c_count
-        dt = np.int32 if c < (1 << 31) else VI
-        c_prime = cp_acc.astype(dt)
-        space.ledger.charge(
-            "construction",
-            KernelCost(
-                stream_bytes=_B * c + _B * n_c,
-                random_bytes=_B * c,
-                atomic_ops=float(c),
-                launches=1,
-            ),
-        )
-        shift = max(1, int(n_c - 1).bit_length()) if n_c > 1 else 1
+        c_prime = cp_acc.astype(np.int32 if c < (1 << 31) else VI)
+        _charge_cross_count(space, c, n_c)
+        shift = _pow2_shift(n_c)
         key_t = (
             np.int32
             if m.dtype == np.int32 and (n_c << shift) < (1 << 31)
             else np.int64
         )
         cp_fine = c_prime[mapping.m]
-        key_sf = arena.create("key", key_t if unit_w else np.int64)
-        w_sf = None if unit_w else arena.create("w", WT)
-        for r0, r1, e0, e1 in _chunked.row_windows(g.xadj, win):
+
+        def keep_side(r0, r1, e0, e1):
             mu_w, mv_w, cross_w, adj_w = _mapped_pair_window(m, g, degs, r0, r1, e0, e1)
             cu_est = np.repeat(cp_fine[r0:r1], degs[r0:r1])
             cv_est = cp_fine[adj_w]
             tie_w = np.repeat(np.arange(r0, r1, dtype=idx_t), degs[r0:r1]) < adj_w
             keep_w = cross_w & ((cu_est < cv_est) | ((cu_est == cv_est) & tie_w))
             if unit_w:
-                key_sf.append((mu_w * key_t(1 << shift) + mv_w)[keep_w])
-            else:
-                key_sf.append((mu_w * np.int64(n_c) + mv_w)[keep_w])
-                w_sf.append(np.asarray(g.ewgts[e0:e1])[keep_w])
-            _mapped.advise_dontneed(g)
-        space.ledger.charge(
-            "construction",
-            KernelCost(
-                stream_bytes=3.0 * _B * c,
-                random_bytes=2.0 * _B * c,
-                launches=1,
-            ),
+                return (mu_w * key_t(1 << shift) + mv_w)[keep_w], None
+            return (mu_w * np.int64(n_c) + mv_w)[keep_w], np.asarray(g.ewgts[e0:e1])[keep_w]
+
+        key_mm, w_mm = _spill_sweep(
+            plan, keep_side, arena, key_t if unit_w else np.int64, unit_w
         )
-        total = len(key_sf)
-        key_mm = key_sf.finish()
+        _charge_keep_side(space, c)
         if unit_w:
-            key_s = _chunked.external_sort(key_mm, win, arena)
-            if total:
-                key_d, counts = _chunked.unit_runs_stream(key_s, win)
-                mu_d = key_d >> shift
-                mv_d = key_d & key_t((1 << shift) - 1)
-                w_d = counts.astype(WT)
-            else:
-                mu_d = mv_d = np.zeros(0, dtype=VI)
-                w_d = np.zeros(0, dtype=WT)
-            bins = np.diff(
-                np.searchsorted(key_s, np.arange(n_c + 1, dtype=key_t) << shift)
-            )
+            bounds = np.arange(n_c + 1, dtype=key_t) << shift
         else:
-            w_mm = w_sf.finish()
             bounds = np.arange(n_c + 1, dtype=np.int64) * np.int64(n_c)
-            ok, idx_bits = _packable(total, n_c * n_c)
-            if ok:
-                packed_mm = _stream_pack_index(key_mm, arena, win, idx_bits)
-                packed_s = _chunked.external_sort(packed_mm, win, arena)
-                if total:
-                    key_d, w_d = _chunked.weighted_runs_stream(
-                        packed_s, idx_bits, w_mm, win
-                    )
-                    w_d = w_d.astype(WT, copy=False)
-                    mu_d = key_d // np.int64(n_c)
-                    mv_d = key_d % np.int64(n_c)
-                else:
-                    mu_d = mv_d = np.zeros(0, dtype=VI)
-                    w_d = np.zeros(0, dtype=WT)
-                bins = np.diff(np.searchsorted(packed_s, bounds << np.int64(idx_bits)))
-            else:  # packed word would overflow: sort the keys resident
-                mu_k = np.array(key_mm) // np.int64(n_c)
-                mv_k = np.array(key_mm) % np.int64(n_c)
-                w_k = np.array(w_mm)
-                order, key_s = stable_key_sort(np.array(key_mm), n_c * n_c)
-                if total:
-                    new_run = np.empty(total, dtype=bool)
-                    new_run[0] = True
-                    new_run[1:] = key_s[1:] != key_s[:-1]
-                    first = np.flatnonzero(new_run)
-                    w_d = np.add.reduceat(w_k[order], first).astype(WT, copy=False)
-                    mu_d, mv_d = mu_k[order][first], mv_k[order][first]
-                else:
-                    mu_d = mv_d = np.zeros(0, dtype=VI)
-                    w_d = np.zeros(0, dtype=WT)
-                bins = np.diff(np.searchsorted(key_s, bounds))
-        big = bins[bins > 1]
-        spill = (
-            4.0 * float((big * np.log2(1.0 + big / 4096.0)).sum()) if len(big) else 0.0
-        )
-        space.ledger.charge(
-            "construction",
-            KernelCost(
-                stream_bytes=4.0 * _B * total if total else 0.0,
-                random_bytes=2.0 * _B * total if total else 0.0,
-                sort_key_ops=sort_cost_keyops(bins),
-                spill_ops=spill,
-                launches=3,
-            ),
-        )
-    mu, mv = np.concatenate([mu_d, mv_d]), np.concatenate([mv_d, mu_d])
-    w = np.concatenate([w_d, w_d])
-    space.ledger.charge(
-        "construction",
-        KernelCost(
-            stream_bytes=6.0 * _B * len(mu),
-            random_bytes=2.0 * _B * len(mu),
-            atomic_ops=float(len(mu)) / 2.0,
-            launches=2,
-        ),
-    )
-    return finalize_csr(n_c, mu, mv, w, vwgts, g.name)
+        spilled = _spilled_dedup(key_mm, w_mm, bounds, plan.window, arena)
+        if spilled:
+            key_d, w_d, bins = spilled
+            _charge_dedup(space, "construction", len(key_mm), bins)
+            if unit_w:
+                mu_d, mv_d = key_d >> shift, key_d & key_t((1 << shift) - 1)
+            else:
+                mu_d, mv_d = key_d // np.int64(n_c), key_d % np.int64(n_c)
+        else:  # packed word would overflow: dedup resident
+            key = np.array(key_mm)
+            mu_d, mv_d, w_d = sorted_dedup(
+                key // np.int64(n_c), key % np.int64(n_c), np.array(w_mm), n_c, space
+            )
+    return _transpose_finalize(n_c, mu_d, mv_d, w_d, vwgts, space, g.name)

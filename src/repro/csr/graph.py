@@ -17,41 +17,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..types import VI, WT, vi_array, wt_array
+from ..types import VI, vi_array, wt_array
 
 __all__ = ["CSRGraph"]
 
 #: arrays published by :meth:`CSRGraph.to_shared`, in layout order
 _SHARED_FIELDS = ("xadj", "adjncy", "ewgts", "vwgts")
 
-#: live temporaries per window entry of the budgeted weighted-degree
+#: live temporaries per window entry of a budgeted weighted-degree
 #: pass (window-local source ids + ewgts window view + bincount scratch)
 _WDEG_BPE = 3 * 8
-
-
-def _weighted_degrees_chunked(g: "CSRGraph", b) -> np.ndarray:
-    """Row-windowed weighted degrees, byte-identical to the global pass.
-
-    ``np.bincount`` accumulates strictly sequentially (unlike the
-    pairwise ``add.reduce`` family), so each window re-runs bincount on
-    window-local sources; row-aligned windows keep every row whole,
-    making the per-row accumulation order identical to the global call.
-    """
-    from ..storage import chunked as _chunked
-    from ..storage import mapped as _mapped
-
-    b.note_engaged()
-    out = np.zeros(g.n, dtype=WT)
-    degs = g.degrees()
-    win = b.window_entries(_WDEG_BPE)
-    for r0, r1, e0, e1 in _chunked.row_windows(g.xadj, win):
-        b.note_window(e1 - e0, _WDEG_BPE)
-        local_src = np.repeat(np.arange(r1 - r0, dtype=VI), degs[r0:r1])
-        out[r0:r1] = np.bincount(
-            local_src, weights=np.asarray(g.ewgts[e0:e1]), minlength=r1 - r0
-        )
-        _mapped.advise_dontneed(g)
-    return out
 
 
 def _attach_shared(name: str):
@@ -200,25 +175,26 @@ class CSRGraph:
         """Sum of incident edge weights per vertex (computed once).
 
         The spectral-uncoarsening feed: every Fiedler solve starts from
-        this degree vector.  Under a resident-memory budget the global
-        ``edge_sources()``/``bincount`` pair (which materialises a full
-        2m source array) is replaced by a row-windowed twin that reduces
-        each window's rows in place — row-aligned windows keep every
-        row whole, so the per-row left-to-right accumulation is
-        byte-identical to the global bincount.
+        this degree vector.  One row-window body: ``np.bincount``
+        accumulates strictly sequentially, so per-window bincounts over
+        window-local sources (row-aligned windows keep every row whole)
+        are byte-identical to the global bincount, and neither a budget
+        window nor a tile ever materialises the full 2m source array.
         """
         cached = self.__dict__.get("_wdeg")
         if cached is not None:
             return cached
-        from ..storage import budget as _budget
+        from ..parallel import tiles as _tiles
 
-        b = _budget.current()
-        if b is not None and b.engages(_WDEG_BPE * self.m_directed):
-            out = _weighted_degrees_chunked(self, b)
-        else:
-            out = np.bincount(
-                self.edge_sources(), weights=self.ewgts, minlength=self.n
-            ).astype(WT, copy=False)
+        degs = self.degrees()
+
+        def window(r0, r1, e0, e1):
+            src = np.repeat(np.arange(r1 - r0, dtype=VI), degs[r0:r1])
+            return np.bincount(src, weights=self.ewgts[e0:e1], minlength=r1 - r0)
+
+        out = _tiles.join_windows(
+            _tiles.for_each_row_window(self, self.xadj, self.m_directed, _WDEG_BPE, window)
+        )
         out.setflags(write=False)
         object.__setattr__(self, "_wdeg", out)
         return out

@@ -47,6 +47,7 @@ from ..csr.graph import CSRGraph
 from ..generators.tiers import TIER_SCALES, parse_tier_name
 from ..storage import mapped as mapped_storage
 from . import shm as shm_lifecycle
+from .tiles import usable_cores
 
 __all__ = [
     "ExperimentTask",
@@ -95,12 +96,8 @@ def task_weight(graph: str, seed: int, sizes: dict) -> int:
     return scale
 
 
-def default_jobs() -> int:
-    """Usable CPU count (affinity-aware) — the ``--jobs 0`` resolution."""
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return max(1, os.cpu_count() or 1)
+#: the ``--jobs 0`` resolution: every usable (affinity-aware) core
+default_jobs = usable_cores
 
 
 @dataclass(frozen=True)
@@ -120,7 +117,7 @@ class ExperimentTask:
     wallclock: bool = False
     reps: int = 1
     warmup: int = 0
-    #: resident-byte ceiling for chunked kernels (None = in-memory paths);
+    #: resident-byte ceiling for kernel transients (None = in-memory paths);
     #: results are byte-identical either way, so the key only gains a part
     #: when a budget is set
     memory_budget: int | None = None

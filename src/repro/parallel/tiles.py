@@ -1,9 +1,9 @@
-"""Deterministic tile-parallel kernel engine (intra-graph multicore).
+"""Deterministic tile-parallel kernel engine and the row-window plan.
 
-All parallelism before this module was *inter*-experiment: the PR-4/5
-process pools fan whole graphs out over workers, so a single graph still
-runs every kernel on one core.  This engine parallelises *inside* one
-run, the way the paper's execution spaces do, while preserving the
+All parallelism before this module was *inter*-experiment: the process
+pools fan whole graphs out over workers, so a single graph still runs
+every kernel on one core.  This engine parallelises *inside* one run,
+the way the paper's execution spaces do, while preserving the
 repo-wide byte-determinism contract:
 
 * **Tile boundaries depend only on the graph and a tile-size constant**
@@ -27,12 +27,20 @@ shared :class:`~concurrent.futures.ThreadPoolExecutor`; NumPy releases
 the GIL on the large array ops the tile kernels consist of, which is
 where the speedup comes from.
 
-Precedence: when a :mod:`repro.storage.budget` engages on a kernel, the
-budgeted windowed twin runs (unthreaded) — the resident-memory ceiling
-is the binding constraint, and running several windows concurrently
-would multiply the in-flight transient by the thread count.  A tile
-*is* a window with a constant size; the decompositions are shared, only
-the driver differs.
+Precedence: every edge-volume kernel is written once, as a *body* over
+one row-aligned window ``(r0, r1, e0, e1)``, and :class:`RowWindowPlan`
+picks how the windows run at dispatch — the execution-space idea of
+the paper applied to our own backends:
+
+1. when the installed :mod:`repro.storage.budget` engages on the
+   kernel's transient bytes, budget windows of
+   :meth:`~repro.storage.budget.MemoryBudget.window_entries` entries run
+   serially (the resident ceiling is the binding constraint; running
+   them concurrently would multiply the in-flight transient by the
+   thread count);
+2. else, when the installed engine engages, row tiles run on the pool;
+3. else one window ``(0, n, 0, entries)`` runs inline — the resident
+   path, with no copy beyond what the body itself allocates.
 
 The active engine is thread-local (the serve daemon dispatches requests
 on worker threads) with a process-global default installed by
@@ -56,17 +64,24 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from ..storage import budget as _budget
 from ..storage import chunked as _chunked
+from ..storage import mapped as _mapped
 
 __all__ = [
     "DEFAULT_TILE_ENTRIES",
+    "RowWindowPlan",
     "TileEngine",
     "clamp_threads",
     "configure",
     "current",
+    "for_each_row_window",
+    "join_windows",
     "limit",
+    "local_xadj",
     "parallel_sort",
     "resolve_threads",
+    "usable_cores",
 ]
 
 #: adjacency entries per tile.  A graph-shape constant: 64Ki entries of
@@ -115,11 +130,6 @@ class TileEngine:
         """
         return list(_chunked.row_windows(xadj, self.tile_entries))
 
-    def flat_tiles(self, n: int) -> list:
-        """Fixed-size ``(i0, i1)`` ranges over a flat array of length ``n``."""
-        step = self.tile_entries
-        return [(i, min(i + step, n)) for i in range(0, n, step)]
-
     # ---------------------------------------------------------- execution
 
     def _executor(self) -> ThreadPoolExecutor:
@@ -150,10 +160,6 @@ class TileEngine:
         ex = self._executor()
         futures = [ex.submit(_tile_call, fn, t) for t in tiles]
         return [f.result() for f in futures]
-
-    def run_tiles(self, fn, tiles) -> None:
-        """``map_tiles`` for disjoint-output kernels (results discarded)."""
-        self.map_tiles(fn, tiles)
 
     def close(self) -> None:
         with self._pool_lock:
@@ -233,6 +239,105 @@ def limit(engine: TileEngine | int | None):
             owned.close()
 
 
+# ------------------------------------------------------- row-window plan
+
+
+class RowWindowPlan:
+    """How one edge-volume kernel sweeps a row-aligned edge space.
+
+    ``xadj`` delimits ``entries`` adjacency entries into rows (a CSR
+    row pointer, or a lane pointer over a queue's adjacency);
+    ``bytes_per_entry`` is the kernel's live transient per entry.  The
+    mode is fixed at construction, with the module's precedence: a
+    budget that engages on ``bytes_per_entry * entries`` (``budget``
+    and ``window`` are set, and the engagement is counted once per
+    plan), else an engine that engages on ``entries`` (``engine`` is
+    set), else one resident window.  :meth:`run` may be called more
+    than once — a multi-pass kernel sweeps the same windows each time.
+    """
+
+    def __init__(self, g, xadj, entries: int, bytes_per_entry: int):
+        self.g = g
+        self.xadj = xadj
+        self.entries = int(entries)
+        self.bytes_per_entry = bytes_per_entry
+        b = _budget.current()
+        t = current()
+        self.budget = b if b is not None and b.engages(bytes_per_entry * self.entries) else None
+        self.engine = (
+            t if self.budget is None and t is not None and t.engaged(self.entries) else None
+        )
+        #: budget-window entries (None unless the budget engaged)
+        self.window = None
+        if self.budget is not None:
+            self.budget.note_engaged()
+            self.window = self.budget.window_entries(bytes_per_entry)
+
+    def run(self, body, consume=None) -> list | None:
+        """Run ``body(r0, r1, e0, e1)`` on every window, in window order.
+
+        Returns the body results in window order, or — when ``consume``
+        is given — feeds each result to ``consume`` in window order and
+        returns None.  Under a budget, ``consume`` runs before the next
+        window is computed, so a spilling caller holds at most one
+        window's fragment; mapped pages are dropped after every window.
+        """
+        out = []
+        sink = out.append if consume is None else consume
+        b = self.budget
+        if b is not None:
+            for r0, r1, e0, e1 in _chunked.row_windows(self.xadj, self.window):
+                b.note_window(e1 - e0, self.bytes_per_entry)
+                sink(body(r0, r1, e0, e1))
+                _mapped.advise_dontneed(self.g)
+        elif self.engine is not None:
+            for res in self.engine.map_tiles(body, self.engine.row_tiles(self.xadj)):
+                sink(res)
+        else:
+            sink(body(0, len(self.xadj) - 1, 0, self.entries))
+        return out if consume is None else None
+
+
+def for_each_row_window(g, xadj, entries: int, bytes_per_entry: int, body, consume=None):
+    """One sweep of :class:`RowWindowPlan` (the single-pass kernels)."""
+    return RowWindowPlan(g, xadj, entries, bytes_per_entry).run(body, consume)
+
+
+def local_xadj(xadj, r0: int, r1: int, e0: int) -> np.ndarray:
+    """Window-relative row pointer ``xadj[r0:r1+1] - e0``.
+
+    The first window (every resident sweep) gets the view itself: the
+    single-window path must not copy the row pointer.
+    """
+    w = np.asarray(xadj[r0 : r1 + 1])
+    return w - e0 if e0 else w
+
+
+def join_windows(parts: list) -> np.ndarray:
+    """Per-window fragments concatenated in window order.
+
+    A single window's fragment is returned as is, so the resident path
+    pays no concatenation copy.
+    """
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+# ------------------------------------------------------------ core counts
+
+
+def usable_cores() -> int:
+    """Cores this process may run on (affinity-aware, never below 1).
+
+    The one core count behind ``--jobs 0``, ``--threads 0`` and the
+    ``--jobs``/``--threads`` clamps: ``os.cpu_count()`` counts the
+    machine, not the affinity mask a container or ``taskset`` imposes.
+    """
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return max(1, os.cpu_count() or 1)
+
+
 def resolve_threads(requested: int | None, *, env: dict | None = None) -> int:
     """``--threads`` resolution: None = ``REPRO_THREADS`` or 1; 0 = all cores."""
     if env is None:
@@ -243,10 +348,7 @@ def resolve_threads(requested: int | None, *, env: dict | None = None) -> int:
         except ValueError:
             requested = 1
     if requested == 0:
-        try:
-            return max(1, len(os.sched_getaffinity(0)))
-        except AttributeError:  # pragma: no cover - non-Linux
-            return max(1, os.cpu_count() or 1)
+        return usable_cores()
     return max(1, requested)
 
 
@@ -259,8 +361,7 @@ def clamp_threads(threads: int, jobs: int) -> int:
     """
     if jobs <= 1:
         return max(1, threads)
-    cores = os.cpu_count() or 1
-    return max(1, min(threads, cores // max(1, jobs)))
+    return max(1, min(threads, usable_cores() // max(1, jobs)))
 
 
 # ------------------------------------------------------- parallel sorting
@@ -288,7 +389,7 @@ def parallel_sort(a: np.ndarray, eng: TileEngine) -> np.ndarray:
     def sort_run(lo, hi):
         a[lo:hi].sort()
 
-    eng.run_tiles(sort_run, runs)
+    eng.map_tiles(sort_run, runs)
 
     def merge_pair(s, d, lo, mid, hi):
         if mid >= hi:  # lone tail run: copy through
@@ -313,7 +414,7 @@ def parallel_sort(a: np.ndarray, eng: TileEngine) -> np.ndarray:
                 mid = hi = runs[i][1]
             pairs.append((src, dst, lo, mid, hi))
             merged.append((lo, hi))
-        eng.run_tiles(merge_pair, pairs)
+        eng.map_tiles(merge_pair, pairs)
         runs = merged
         src, dst = dst, src
 

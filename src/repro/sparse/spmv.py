@@ -15,16 +15,13 @@ from ..csr.graph import CSRGraph
 from ..parallel.cost import KernelCost
 from ..parallel.execspace import ExecSpace
 from ..parallel import tiles as _tiles
-from ..storage import budget as _budget
-from ..storage import chunked as _chunked
-from ..storage import mapped as _mapped
 from ..types import WT
 
 __all__ = ["spmv", "spmm", "laplacian_spmv"]
 
 _B = 8
 
-#: live temporaries per window entry in the chunked path (products +
+#: live temporaries per window entry of a budgeted sweep (products +
 #: gathered x + adjncy/ewgts window views)
 _SPMV_BPE = 4 * _B
 
@@ -34,64 +31,32 @@ def _spmm_bpe(k: int) -> int:
     return (2 * k + 2) * _B
 
 
-def _spmv_values_chunked(g: CSRGraph, x: np.ndarray, b) -> np.ndarray:
-    """Row-windowed ``y = A x`` — byte-identical to the global reduceat.
+def _row_products_sum(g: CSRGraph, X: np.ndarray, Y: np.ndarray) -> None:
+    """``Y = A X`` row by row, one row-window plan sweep.
 
     Every CSR row lies wholly inside one window, so each row's products
-    sum left-to-right exactly as ``np.add.reduceat`` over the full
-    arrays would associate them.
+    sum left to right exactly as one global ``np.add.reduceat`` would
+    associate them; windows write the disjoint ``Y[r0:r1]`` slices.
+    ``X`` is a vector or an ``(n, k)`` block (the per-entry transient
+    scales with ``k``).
     """
-    b.note_engaged()
-    y = np.zeros(g.n, dtype=WT)
-    win = b.window_entries(_SPMV_BPE)
-    for r0, r1, e0, e1 in _chunked.row_windows(g.xadj, win):
-        b.note_window(e1 - e0, _SPMV_BPE)
-        products = g.ewgts[e0:e1] * x[g.adjncy[e0:e1]]
-        starts = np.asarray(g.xadj[r0:r1]) - e0
-        lengths = np.diff(np.asarray(g.xadj[r0 : r1 + 1]))
-        nonempty = np.flatnonzero(lengths > 0)
+    bpe = _SPMV_BPE if X.ndim == 1 else _spmm_bpe(X.shape[1])
+
+    def window(r0, r1, e0, e1):
+        xw = _tiles.local_xadj(g.xadj, r0, r1, e0)
+        nonempty = np.flatnonzero(np.diff(xw) > 0)
         if len(nonempty):
-            y[r0:r1][nonempty] = np.add.reduceat(products, starts[nonempty])
-        _mapped.advise_dontneed(g)
-    return y
+            w = g.ewgts[e0:e1]
+            products = (w if X.ndim == 1 else w[:, None]) * X[g.adjncy[e0:e1]]
+            Y[r0:r1][nonempty] = np.add.reduceat(products, xw[nonempty], axis=0)
 
-
-def _spmv_values_tiled(g: CSRGraph, x: np.ndarray, eng) -> np.ndarray:
-    """Tile-parallel ``y = A x`` — byte-identical to the global reduceat.
-
-    Same row-aligned decomposition as the budget windows, so every row's
-    products associate exactly as the global call; tiles write disjoint
-    ``y[r0:r1]`` slices, so completion order cannot matter.
-    """
-    y = np.zeros(g.n, dtype=WT)
-
-    def tile(r0, r1, e0, e1):
-        products = g.ewgts[e0:e1] * x[g.adjncy[e0:e1]]
-        starts = np.asarray(g.xadj[r0:r1]) - e0
-        lengths = np.diff(np.asarray(g.xadj[r0 : r1 + 1]))
-        nonempty = np.flatnonzero(lengths > 0)
-        if len(nonempty):
-            y[r0:r1][nonempty] = np.add.reduceat(products, starts[nonempty])
-
-    eng.run_tiles(tile, eng.row_tiles(g.xadj))
-    return y
+    _tiles.for_each_row_window(g, g.xadj, g.m_directed, bpe, window)
 
 
 def spmv(g: CSRGraph, x: np.ndarray, space: ExecSpace | None = None, phase: str = "refinement") -> np.ndarray:
     """``y = A x`` for the (weighted) adjacency matrix of ``g``."""
-    b = _budget.current()
-    t = _tiles.current()
-    if b is not None and b.engages(_SPMV_BPE * g.m_directed):
-        y = _spmv_values_chunked(g, x, b)
-    elif t is not None and t.engaged(g.m_directed):
-        y = _spmv_values_tiled(g, x, t)
-    else:
-        y = np.zeros(g.n, dtype=WT)
-        products = g.ewgts * x[g.adjncy]
-        lengths = np.diff(g.xadj)
-        nonempty = np.flatnonzero(lengths > 0)
-        if len(nonempty):
-            y[nonempty] = np.add.reduceat(products, g.xadj[nonempty])
+    y = np.zeros(g.n, dtype=WT)
+    _row_products_sum(g, x, y)
     if space is not None:
         nnz = g.m_directed
         # the x-vector gather is random *only* when x exceeds the last-
@@ -115,31 +80,14 @@ def spmv(g: CSRGraph, x: np.ndarray, space: ExecSpace | None = None, phase: str 
     return y
 
 
-def _spmm_window(g: CSRGraph, X: np.ndarray, Y: np.ndarray, r0, r1, e0, e1) -> None:
-    """One row-aligned window/tile of ``Y = A X`` (disjoint ``Y[r0:r1]``)."""
-    products = g.ewgts[e0:e1, None] * X[g.adjncy[e0:e1]]
-    starts = np.asarray(g.xadj[r0:r1]) - e0
-    lengths = np.diff(np.asarray(g.xadj[r0 : r1 + 1]))
-    nonempty = np.flatnonzero(lengths > 0)
-    if len(nonempty):
-        Y[r0:r1][nonempty] = np.add.reduceat(products, starts[nonempty], axis=0)
-
-
 def spmm(g: CSRGraph, X: np.ndarray, space: ExecSpace | None = None, phase: str = "refinement") -> np.ndarray:
     """``Y = A X`` for an ``(n, k)`` block of vectors (blocked SpMV).
 
     The spectral SpMM inner loop: block power iteration applies the
     operator to all ``k`` iterate vectors with one sweep of the CSR
-    arrays instead of ``k`` SpMV sweeps.  Three executions, all
-    byte-identical (row-aligned decompositions + per-row left-to-right
-    ``reduceat`` association):
-
-    * global: one ``(m, k)`` product materialisation;
-    * budgeted: row-aligned windows sized by the installed
-      :mod:`repro.storage.budget` (per-entry transient scales with
-      ``k``), closing the ROADMAP item on the spectral SpMM inner loop;
-    * tiled: the :mod:`repro.parallel.tiles` engine runs the same
-      windows concurrently — each writes a disjoint ``Y[r0:r1]``.
+    arrays instead of ``k`` SpMV sweeps.  The same row-window body as
+    :func:`spmv`, so the resident, budgeted and tiled executions are
+    byte-identical.
 
     The charge is issued once, after the sweep: the CSR stream is paid
     once, the ``X`` gather and the flops ``k`` times.
@@ -149,26 +97,7 @@ def spmm(g: CSRGraph, X: np.ndarray, space: ExecSpace | None = None, phase: str 
         X = X[:, None]
     k = X.shape[1]
     Y = np.zeros((g.n, k), dtype=WT)
-    b = _budget.current()
-    t = _tiles.current()
-    if b is not None and b.engages(_spmm_bpe(k) * g.m_directed):
-        b.note_engaged()
-        win = b.window_entries(_spmm_bpe(k))
-        for r0, r1, e0, e1 in _chunked.row_windows(g.xadj, win):
-            b.note_window(e1 - e0, _spmm_bpe(k))
-            _spmm_window(g, X, Y, r0, r1, e0, e1)
-            _mapped.advise_dontneed(g)
-    elif t is not None and t.engaged(g.m_directed):
-        t.run_tiles(
-            lambda r0, r1, e0, e1: _spmm_window(g, X, Y, r0, r1, e0, e1),
-            t.row_tiles(g.xadj),
-        )
-    else:
-        lengths = np.diff(g.xadj)
-        nonempty = np.flatnonzero(lengths > 0)
-        if len(nonempty):
-            products = g.ewgts[:, None] * X[g.adjncy]
-            Y[nonempty] = np.add.reduceat(products, g.xadj[nonempty], axis=0)
+    _row_products_sum(g, X, Y)
     if space is not None:
         nnz = g.m_directed
         gather = float(k) * _B * nnz

@@ -9,9 +9,9 @@ RAM without changing a single result byte:
   :class:`~repro.csr.graph.CSRGraph` interface
   (``CSRGraph.to_mapped()`` / ``CSRGraph.from_mapped()``).
 * :mod:`repro.storage.budget` — a thread-local resident-memory budget;
-  kernels consult :func:`repro.storage.budget.current` and switch to
-  their chunked variants when their transient working set would exceed
-  it.
+  the row-window plan (:mod:`repro.parallel.tiles`) consults it and runs
+  a kernel's windows serially when its transient working set would
+  exceed it.
 * :mod:`repro.storage.chunked` — the shared streaming machinery:
   row-aligned edge windows, disk spill buffers, an external merge sort
   that reproduces ``np.sort`` bit-exactly, and streamed run-length

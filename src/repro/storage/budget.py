@@ -1,4 +1,4 @@
-"""Thread-local resident-memory budget for chunked kernels.
+"""Thread-local resident-memory budget for edge-volume kernels.
 
 A :class:`MemoryBudget` bounds the *transient per-kernel working set*:
 the edge-volume temporaries a hot kernel materialises while it runs
@@ -6,13 +6,18 @@ the edge-volume temporaries a hot kernel materialises while it runs
 row pointers, coarse outputs — and the hierarchy levels a run *returns*
 are deliberately exempt: they are the product, not the scratch.
 
-Kernels consult :func:`current` and, when
-:meth:`MemoryBudget.engages` says their in-memory temporaries would
-exceed the budget, switch to their chunked variants, which process
-row-aligned edge windows sized by :meth:`MemoryBudget.window_entries`
-and spill to disk.  Chunked and in-memory paths are byte-identical in
-results, ledger charges, and trace spans — the budget only changes
-*how*, never *what*.
+Kernels never consult the budget themselves.  Each edge-volume kernel
+is one body over a row-aligned window, run by the row-window plan
+(:class:`repro.parallel.tiles.RowWindowPlan`); the plan asks
+:meth:`MemoryBudget.engages` whether the kernel's in-memory temporaries
+would exceed the budget and, if so, runs windows of
+:meth:`MemoryBudget.window_entries` entries serially, recording each
+with :meth:`note_window` and dropping mapped pages between them.  The
+one out-of-core algorithm beyond windowing — construction's spilled
+external-merge dedup (:mod:`repro.storage.chunked`) — consumes those
+windows one fragment at a time.  Budgeted and in-memory runs are
+byte-identical in results, ledger charges, and trace spans — the
+budget only changes *how*, never *what*.
 
 The active budget is thread-local (the serve daemon dispatches requests
 on worker threads) and installed with the :func:`limit` context
@@ -43,7 +48,7 @@ class MemoryBudget:
     ----------
     resident_bytes:
         The ceiling.  Kernels whose estimated in-memory transient bytes
-        exceed it switch to chunked execution.
+        exceed it run budget windows.
     window_fraction:
         Fraction of the budget one window's live temporaries may occupy
         (several arrays are alive per window entry, plus merge scratch).
@@ -58,11 +63,11 @@ class MemoryBudget:
     #: high-water mark of planned per-window transient bytes (telemetry;
     #: asserted in tests, never reported in result rows)
     peak_planned: int = field(default=0, compare=False)
-    #: how many kernel invocations actually engaged chunked execution
+    #: how many kernel invocations actually engaged budget windows
     engaged: int = field(default=0, compare=False)
 
     def engages(self, transient_bytes: int) -> bool:
-        """True when a kernel with this transient estimate must chunk."""
+        """True when a kernel with this transient estimate must window."""
         return transient_bytes > self.resident_bytes
 
     def window_entries(self, bytes_per_entry: int) -> int:

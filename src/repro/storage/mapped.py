@@ -151,9 +151,9 @@ def advise_dontneed(g) -> None:
     """Drop resident pages of a mapped graph's arrays (keeps RSS bounded).
 
     ``ru_maxrss`` is a high-water mark that counts resident *mapped file*
-    pages, so chunked kernels call this between windows; clean pages
-    refault cheaply from the page cache.  No-op for non-mapped graphs and
-    on platforms without ``mmap.madvise``.
+    pages, so the row-window plan calls this between budget windows;
+    clean pages refault cheaply from the page cache.  No-op for
+    non-mapped graphs and on platforms without ``mmap.madvise``.
     """
     info = getattr(g, "_mapped", None)
     if info is None or not hasattr(mmap.mmap, "madvise"):

@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.csr import CSRGraph, from_edge_list, validate
+from repro.csr import from_edge_list, validate
 from repro.csr.update import apply_edges
-from repro.partition.fm import compute_gains
-from repro.storage import budget as budget_mod
-from repro.storage.budget import MemoryBudget
 from repro.storage.mapped import open_mapped, write_mapped
 
 from .conftest import random_connected
@@ -162,39 +159,3 @@ class TestApplyEdges:
         via_fn, d2 = apply_edges(g, add=([0], [15], [2.0]))
         assert_same_graph(via_method, via_fn)
         assert d1.summary() == d2.summary()
-
-
-class TestBudgetedKernelParity:
-    """PR-8 budgeted twins: byte-identical under tiny windows."""
-
-    def test_weighted_degrees_chunked(self):
-        g = random_connected(400, 900, seed=11, weighted=True)
-        ref = g.weighted_degrees().copy()
-        g2 = CSRGraph(g.xadj, g.adjncy, g.ewgts, g.vwgts, name="twin")
-        b = MemoryBudget(2048, min_window=32)
-        with budget_mod.limit(b):
-            got = g2.weighted_degrees()
-        assert b.engaged == 1
-        assert got.tobytes() == ref.tobytes()
-
-    def test_compute_gains_chunked(self):
-        g = random_connected(400, 900, seed=12, weighted=True)
-        part = (np.arange(g.n) % 2).astype(np.int8)
-        ref = compute_gains(g, part)
-        b = MemoryBudget(2048, min_window=32)
-        with budget_mod.limit(b):
-            got = compute_gains(g, part)
-        assert b.engaged == 1
-        assert b.peak_planned <= b.resident_bytes
-        assert got.tobytes() == ref.tobytes()
-
-    def test_compute_gains_chunked_hub_row(self):
-        # a row larger than any window must stay whole and still match
-        hub_d = np.arange(1, 301)
-        g = from_edge_list(301, np.zeros(300, dtype=np.int64), hub_d,
-                           np.linspace(0.5, 3.0, 300))
-        part = (np.arange(301) % 2).astype(np.int8)
-        ref = compute_gains(g, part)
-        with budget_mod.limit(MemoryBudget(512, min_window=16)):
-            got = compute_gains(g, part)
-        assert got.tobytes() == ref.tobytes()

@@ -20,22 +20,32 @@ from repro.bench.harness import run_coarsening, run_partition, space_for
 from repro.coarsen.hec import heavy_neighbors, hec_parallel
 from repro.coarsen.hem import unmatched_heavy_neighbors
 from repro.construct import construct_sort
+from repro.csr import CSRGraph, from_edge_list
 from repro.generators.kron import rmat
-from repro.parallel import tiles
+from repro.parallel import serial_space, tiles
 from repro.parallel.primitives import stable_key_sort
 from repro.parallel.tiles import (
     DEFAULT_TILE_ENTRIES,
+    RowWindowPlan,
     TileEngine,
     clamp_threads,
+    for_each_row_window,
+    join_windows,
+    local_xadj,
     parallel_sort,
     resolve_threads,
+    usable_cores,
 )
 from repro.partition.applications import spectral_embedding
 from repro.partition.fm import compute_gains
 from repro.sparse.spmv import spmm, spmv
 from repro.storage import budget as budget_mod
 from repro.storage.budget import MemoryBudget
+from repro.storage.chunked import row_windows
+from repro.trace.core import Tracer
 from repro.types import UNMAPPED, VI
+
+from tests.conftest import random_connected
 
 
 @pytest.fixture(scope="module")
@@ -75,13 +85,6 @@ class TestTileBoundaries:
             assert r1 == n0 and e1 == ne0
         for r0, r1, e0, e1 in tl:
             assert e0 == big.xadj[r0] and e1 == big.xadj[r1]
-
-    def test_flat_tiles_cover(self):
-        eng = TileEngine(4, 7)
-        tl = eng.flat_tiles(23)
-        assert tl[0] == (0, 7) and tl[-1] == (21, 23)
-        assert sum(b - a for a, b in tl) == 23
-        assert tl == TileEngine(2, 7).flat_tiles(23)
 
     def test_tile_larger_than_graph_is_one_tile(self, big):
         eng = TileEngine(4, big.m_directed + 10)
@@ -168,15 +171,13 @@ class TestResolveClamp:
         assert resolve_threads(2, env={"REPRO_THREADS": "8"}) == 2
 
     def test_zero_means_all_cores(self):
-        got = resolve_threads(0, env={})
-        assert got >= 1
-        assert got <= (os.cpu_count() or 1)
+        assert resolve_threads(0, env={}) == usable_cores() >= 1
 
     def test_negative_clamps_to_one(self):
         assert resolve_threads(-3, env={}) == 1
 
     def test_clamp_threads(self):
-        cores = os.cpu_count() or 1
+        cores = usable_cores()
         assert clamp_threads(8, 1) == 8  # no pool: nothing to share with
         assert clamp_threads(8, 2) == max(1, min(8, cores // 2))
         assert clamp_threads(8, 10 * cores) == 1  # never below 1
@@ -186,8 +187,24 @@ class TestResolveClamp:
 
         from repro.bench.report import _resolve_jobs
 
-        got = _resolve_jobs(Namespace(jobs=10**6))
-        assert got <= max(1, os.cpu_count() or 1)
+        assert _resolve_jobs(Namespace(jobs=10**6)) == usable_cores()
+        assert _resolve_jobs(Namespace(jobs=0)) == usable_cores()
+
+    def test_core_count_honours_affinity(self, monkeypatch):
+        """A one-core affinity mask on an eight-core machine: every
+        resolution and clamp sees one core, not eight."""
+        from argparse import Namespace
+
+        from repro.bench.report import _resolve_jobs
+        from repro.parallel.pool import default_jobs
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert usable_cores() == 1
+        assert default_jobs() == 1
+        assert resolve_threads(0, env={}) == 1
+        assert _resolve_jobs(Namespace(jobs=4)) == 1
+        assert clamp_threads(4, 2) == 1
 
 
 # ------------------------------------------------------------ parallel sort
@@ -248,80 +265,257 @@ class TestParallelSort:
         assert s_order.tobytes() == np.argsort(key, kind="stable").tobytes()
 
 
+# ------------------------------------------------------------ row-window plan
+
+
+class TestRowWindowPlan:
+    def _windows(self, g, **plan_kw):
+        seen = []
+        for_each_row_window(g, g.xadj, g.m_directed, 24,
+                            lambda *w: seen.append(w), **plan_kw)
+        return seen
+
+    def test_nothing_installed_is_one_window(self, big):
+        assert self._windows(big) == [(0, big.n, 0, big.m_directed)]
+
+    def test_budget_windows_are_row_windows(self, big):
+        b = MemoryBudget(64 << 10, min_window=1)
+        with budget_mod.limit(b), tiles.limit(TileEngine(4, 97)):
+            seen = self._windows(big)  # the budget wins over the engine
+        want = list(row_windows(big.xadj, b.window_entries(24)))
+        assert seen == want and len(want) > 1
+        assert b.engaged == 1
+        assert b.peak_planned == 24 * max(e1 - e0 for _, _, e0, e1 in want)
+
+    def test_one_engagement_per_plan(self, big):
+        b = MemoryBudget(64 << 10, min_window=1)
+        with budget_mod.limit(b):
+            plan = RowWindowPlan(big, big.xadj, big.m_directed, 24)
+            first = plan.run(lambda *w: w)
+            assert plan.run(lambda *w: w) == first  # a second sweep
+        assert b.engaged == 1
+
+    def test_pooled_results_in_window_order(self, big):
+        import time
+
+        eng = TileEngine(4, 4096)
+        tl = eng.row_tiles(big.xadj)
+
+        def body(r0, r1, e0, e1):
+            time.sleep(0.002 * (1 - r0 / big.n))  # later tiles finish first
+            return r0
+
+        with tiles.limit(eng):
+            got = for_each_row_window(big, big.xadj, big.m_directed, 24, body)
+        eng.close()
+        assert got == [t[0] for t in tl]
+        assert eng.kernels == 1 and eng.tiles == len(tl)
+
+    def test_consume_in_order_before_next_window(self, big):
+        events = []
+
+        def body(r0, r1, e0, e1):
+            events.append(("body", r0))
+            return r0
+
+        with budget_mod.limit(MemoryBudget(64 << 10, min_window=1)):
+            out = for_each_row_window(big, big.xadj, big.m_directed, 24, body,
+                                      consume=lambda r: events.append(("consume", r)))
+        assert out is None
+        rows = [r for kind, r in events if kind == "body"]
+        assert len(rows) > 1
+        assert events == [e for r in rows for e in (("body", r), ("consume", r))]
+
+    def test_local_xadj_and_join_copy_nothing_for_one_window(self, big):
+        assert np.shares_memory(local_xadj(big.xadj, 0, big.n, 0), big.xadj)
+        frag = np.arange(5)
+        assert join_windows([frag]) is frag
+        assert join_windows([frag, frag]).tolist() == list(range(5)) * 2
+
+
 # ------------------------------------------------------------ kernel parity
 
 
-TILE_SIZES = [97, 4096, DEFAULT_TILE_ENTRIES, 10**7]
+#: adversarial tile/window sizes: one entry (every row its own window),
+#: prime, power of two, the default tile, larger than any graph
+SIZES = [1, 97, 4096, DEFAULT_TILE_ENTRIES, 10**7]
+
+#: every execution the row-window plan can pick, against resident
+MODES = ["budget", "threads", "budget+threads"]
+
+
+def _skewed_graph(weighted: bool):
+    """Star-heavy graph: trips the skew-optimised construction path."""
+    rng = np.random.default_rng(2)
+    ex = rng.integers(0, 401, size=(300, 2))
+    keep = ex[:, 0] != ex[:, 1]
+    src = np.concatenate([np.zeros(400, dtype=int), ex[keep, 0]])
+    dst = np.concatenate([np.arange(1, 401), ex[keep, 1]])
+    w = rng.uniform(0.5, 4.0, size=len(src)) if weighted else None
+    return from_edge_list(401, src, dst, w, name="skewstar")
+
+
+def _hub_graph():
+    """One 300-entry hub row: larger than any small window, kept whole."""
+    return from_edge_list(301, np.zeros(300, dtype=np.int64), np.arange(1, 301),
+                          np.linspace(0.5, 3.0, 300), name="hub")
+
+
+@pytest.fixture(scope="module")
+def inputs(big, tmp_path_factory):
+    """Resident graphs big enough to tile, mapped ones to stream."""
+    out = {
+        "rmat": big,  # skewed, unit weights, > 64Ki entries
+        "regular": random_connected(12_000, 24_000, seed=7, weighted=False),
+    }
+    small = {
+        "regular_w": random_connected(400, 900, seed=11, weighted=True),
+        "regular_w4": random_connected(300, 500, seed=4, weighted=True),
+        "regular_u": random_connected(300, 500, seed=4, weighted=False),
+        "skewed_u": _skewed_graph(weighted=False),
+        "skewed_w": _skewed_graph(weighted=True),
+        "hub": _hub_graph(),
+    }
+    root = tmp_path_factory.mktemp("mapped")
+    for name, g in small.items():
+        g.to_mapped(root / f"{name}.csrdir")
+        out[name] = CSRGraph.from_mapped(root / f"{name}.csrdir")
+    return out
+
+
+def _fresh(g):
+    """Same arrays, empty per-graph caches (weighted degrees are cached)."""
+    return CSRGraph(g.xadj, g.adjncy, g.ewgts, g.vwgts, name=g.name)
+
+
+def _hem_queue(g):
+    m = np.full(g.n, UNMAPPED, dtype=VI)
+    m[::3] = np.arange(0, g.n, 3, dtype=VI)  # a third already matched
+    return m, np.flatnonzero(m == UNMAPPED).astype(VI)
+
+
+def _rng(seed):
+    return np.random.default_rng(seed)
+
+
+#: kernel -> (arguments built outside any mode, call(g, space, *args))
+KERNELS = {
+    "spmv": (lambda g: (_rng(0).standard_normal(g.n),),
+             lambda g, s, x: spmv(g, x, s)),
+    "spmm": (lambda g: (_rng(1).standard_normal((g.n, 4)),),
+             lambda g, s, X: spmm(g, X, s)),
+    "heavy_neighbors": (lambda g: (), lambda g, s: heavy_neighbors(g, s)),
+    "unmatched_heavy_neighbors": (
+        _hem_queue, lambda g, s, m, q: unmatched_heavy_neighbors(g, m, q, s)),
+    "compute_gains": (lambda g: (_rng(3).integers(0, 2, size=g.n).astype(np.int8),),
+                      lambda g, s, part: compute_gains(g, part)),
+    "weighted_degrees": (lambda g: (_fresh(g),),
+                         lambda g, s, twin: twin.weighted_degrees()),
+    "construct_sort": (lambda g: (hec_parallel(g, serial_space()),),
+                       lambda g, s, mapping: construct_sort(g, mapping, s)),
+}
+
+
+def _as_bytes(out) -> bytes:
+    if isinstance(out, CSRGraph):
+        return b"".join(np.asarray(a).tobytes()
+                        for a in (out.xadj, out.adjncy, out.ewgts, out.vwgts))
+    return np.asarray(out).tobytes()
+
+
+def _run(kernel, g, mode=None, size=None, budget=None):
+    """One traced kernel call under ``mode``: (bytes, ledger, trace, budget)."""
+    if mode is not None and "budget" in mode and budget is None:
+        # a one-byte ceiling engages on every kernel; the floor makes
+        # every window exactly ``size`` entries (or one whole hub row)
+        budget = MemoryBudget(1, window_fraction=0.0, min_window=size)
+    eng = TileEngine(3, size) if mode is not None and "threads" in mode else None
+    make_args, call = KERNELS[kernel]
+    args = make_args(g)
+    space = space_for("gpu")
+    tr = Tracer("t").attach(space)
+    with budget_mod.limit(budget), tiles.limit(eng):
+        out = call(g, space, *args)
+    tr.close()
+    if eng is not None:
+        eng.close()
+    return _as_bytes(out), ledger_dict(space), tr.to_dict(), budget
 
 
 class TestKernelParity:
-    """Every tiled twin must reproduce its serial kernel byte for byte,
-    at adversarial tile sizes (prime, power-of-two, larger than m)."""
+    """Every kernel is one row-window body: budget windows, pooled tiles
+    and both together reproduce the resident run byte for byte — output,
+    ledger totals and trace — at adversarial tile and window sizes, on
+    resident and mapped graphs, weighted and skewed."""
 
-    @pytest.mark.parametrize("te", [1] + TILE_SIZES)
-    def test_spmv(self, big, te):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(big.n)
-        want = spmv(big, x)
-        with tiles.limit(TileEngine(4, te)) as eng:
-            got = spmv(big, x)
-            engaged = eng.kernels
-        assert got.tobytes() == want.tobytes()
-        if te <= big.m_directed:
-            assert engaged == 1
+    def _matrix(self, kernel, inputs, size):
+        for name, g in inputs.items():
+            want = _run(kernel, g)
+            for mode in MODES:
+                got = _run(kernel, g, mode, size)
+                assert got[:3] == want[:3], (name, mode)
+                b = got[3]
+                if b is not None:
+                    # one engagement per kernel call, windows recorded
+                    assert b.engaged == 1 and b.peak_planned > 0, (name, mode)
 
-    @pytest.mark.parametrize("te", TILE_SIZES)
-    def test_spmm(self, big, te):
-        rng = np.random.default_rng(1)
-        X = rng.standard_normal((big.n, 4))
-        want = spmm(big, X)
-        with tiles.limit(TileEngine(4, te)):
-            got = spmm(big, X)
-        assert got.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("te", SIZES)
+    def test_spmv(self, inputs, te):
+        self._matrix("spmv", inputs, te)
 
-    @pytest.mark.parametrize("te", [1] + TILE_SIZES)
-    def test_heavy_neighbors(self, big, te):
-        want = heavy_neighbors(big)
-        with tiles.limit(TileEngine(4, te)):
-            got = heavy_neighbors(big)
-        assert got.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("te", SIZES)
+    def test_spmm(self, inputs, te):
+        self._matrix("spmm", inputs, te)
 
-    @pytest.mark.parametrize("te", TILE_SIZES)
-    def test_unmatched_heavy_neighbors(self, big, te):
-        m = np.full(big.n, UNMAPPED, dtype=VI)
-        m[:: 3] = np.arange(0, big.n, 3, dtype=VI)  # a third already matched
-        queue = np.flatnonzero(m == UNMAPPED).astype(VI)
-        s1, s2 = space_for("gpu"), space_for("gpu")
-        want = unmatched_heavy_neighbors(big, m, queue, s1)
-        with tiles.limit(TileEngine(4, te)):
-            got = unmatched_heavy_neighbors(big, m, queue, s2)
-        assert got.tobytes() == want.tobytes()
-        assert ledger_dict(s1) == ledger_dict(s2)
+    @pytest.mark.parametrize("te", SIZES)
+    def test_heavy_neighbors(self, inputs, te):
+        self._matrix("heavy_neighbors", inputs, te)
 
-    @pytest.mark.parametrize("te", TILE_SIZES)
-    def test_compute_gains(self, big, te):
-        rng = np.random.default_rng(3)
-        part = rng.integers(0, 2, size=big.n).astype(np.int8)
-        want = compute_gains(big, part)
-        with tiles.limit(TileEngine(4, te)):
-            got = compute_gains(big, part)
-        assert got.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("te", SIZES)
+    def test_unmatched_heavy_neighbors(self, inputs, te):
+        self._matrix("unmatched_heavy_neighbors", inputs, te)
 
-    @pytest.mark.parametrize("te", TILE_SIZES)
-    def test_construct_sort(self, big, te):
-        s1, s2 = space_for("gpu"), space_for("gpu")
-        mapping = hec_parallel(big, s1)
-        want = construct_sort(big, mapping, s1)
-        with tiles.limit(TileEngine(4, te)):
-            mapping2 = hec_parallel(big, s2)
-            got = construct_sort(big, mapping2, s2)
-        assert mapping2.m.tobytes() == mapping.m.tobytes()
-        for a, b in (
-            (want.xadj, got.xadj), (want.adjncy, got.adjncy),
-            (want.ewgts, got.ewgts), (want.vwgts, got.vwgts),
-        ):
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-        assert ledger_dict(s1) == ledger_dict(s2)
+    @pytest.mark.parametrize("te", SIZES)
+    def test_compute_gains(self, inputs, te):
+        self._matrix("compute_gains", inputs, te)
+
+    @pytest.mark.parametrize("te", SIZES)
+    def test_weighted_degrees(self, inputs, te):
+        self._matrix("weighted_degrees", inputs, te)
+
+    @pytest.mark.parametrize("te", SIZES)
+    def test_construct_sort(self, inputs, te):
+        self._matrix("construct_sort", inputs, te)
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_budget_sized_windows(self, inputs, kernel):
+        """Under a ceiling that sizes its windows, the planned working
+        set never exceeds it (no row here is larger than a window)."""
+        g = inputs["regular_w"]
+        want = _run(kernel, g)
+        for mode in ("budget", "budget+threads"):
+            b = MemoryBudget(16 << 10, min_window=1)
+            got = _run(kernel, g, mode, DEFAULT_TILE_ENTRIES, budget=b)
+            assert got[:3] == want[:3]
+            assert b.engaged == 1
+            assert 0 < b.peak_planned <= b.resident_bytes
+
+    @pytest.mark.parametrize("skewed", [False, True])
+    def test_construct_overflow_fallback(self, inputs, monkeypatch, skewed):
+        """Budgeted construction whose packed (key, index) word would
+        overflow deduplicates resident, through the shared dedup code."""
+        import repro.construct.vertex_sort as vs
+
+        g = inputs["skewed_w" if skewed else "regular_w"]
+        want = _run("construct_sort", g)
+        calls = []
+        monkeypatch.setattr(
+            vs, "_packable", lambda c, key_bound: calls.append(c) or (False, 1)
+        )
+        for mode in ("budget", "budget+threads"):
+            got = _run("construct_sort", g, mode, 97)
+            assert got[:3] == want[:3], mode
+        assert len(calls) == 2  # the fallback ran under both modes
 
 
 # ----------------------------------------------------- full-run invariance
