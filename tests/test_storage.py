@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.bench.harness import run_coarsening
+from repro.construct import construct_sort
 from repro.csr import CSRGraph
 from repro.csr import validation as csr_validation
 from repro.generators import corpus
@@ -22,7 +23,19 @@ from repro.storage import budget as budget_mod
 from repro.storage import chunked, mapped
 from repro.storage.budget import MemoryBudget, parse_budget
 
-from tests.conftest import random_connected
+from tests.conftest import random_connected, star_graph
+
+
+def skewed_graph(seed=2):
+    """Star-heavy graph: trips the skew-optimised construction path."""
+    base = star_graph(400)
+    rng = np.random.default_rng(seed)
+    from repro.csr.build import from_edge_list
+    ex = rng.integers(0, 401, size=(300, 2))
+    keep = ex[:, 0] != ex[:, 1]
+    src = np.concatenate([np.zeros(400, dtype=int), ex[keep, 0]])
+    dst = np.concatenate([np.arange(1, 401), ex[keep, 1]])
+    return from_edge_list(401, src, dst, name="skewstar")
 
 
 def dir_digest(path: Path) -> str:
@@ -122,8 +135,45 @@ class TestChunkedPrimitives:
 
 
 class TestBudgetedConstructParity:
-    """Budgeted whole runs on mapped graphs (per-kernel byte parity is
-    the matrix in ``tests/test_tiles.py``)."""
+    """Budgeted construction is byte-identical to the resident path
+    (the per-kernel window matrix is in ``tests/test_tiles.py``)."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("skewed", [False, True])
+    def test_construct_sort_parity(self, tmp_path, weighted, skewed):
+        from repro.coarsen import hec_parallel
+        from repro.parallel import gpu_space
+        from repro.trace.core import Tracer
+
+        if skewed:
+            g = skewed_graph()
+        else:
+            g = random_connected(300, 500, seed=4, weighted=weighted)
+
+        def one(graph, budget_bytes):
+            space = gpu_space(0)
+            tr = Tracer("t").attach(space)
+            mapping = hec_parallel(graph, space)
+            if budget_bytes is None:
+                gc = construct_sort(graph, mapping, space)
+            else:
+                with budget_mod.limit(budget_bytes):
+                    gc = construct_sort(graph, mapping, space)
+            tr.close()
+            return gc, tr.to_dict()
+
+        ref_g, ref_t = one(g, None)
+        path = tmp_path / "g.csrdir"
+        g.to_mapped(path)
+        gm = CSRGraph.from_mapped(path)
+        got_g, got_t = one(gm, 32 * 1024)
+
+        for a, b in zip(
+            (ref_g.xadj, ref_g.adjncy, ref_g.ewgts, ref_g.vwgts),
+            (got_g.xadj, got_g.adjncy, got_g.ewgts, got_g.vwgts),
+        ):
+            np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
+        assert ref_t == got_t
 
     def test_budget_engaged_and_planned_bound(self, tmp_path):
         g = random_connected(20_000, 60_000, seed=7)
