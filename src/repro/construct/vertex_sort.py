@@ -11,7 +11,8 @@ sweep first halves and *balances* the bins, and a final transpose pass
 
 from __future__ import annotations
 
-from contextlib import ExitStack
+from contextlib import nullcontext
+from functools import partial
 
 import numpy as np
 
@@ -87,6 +88,12 @@ def _resident_dedup(key: np.ndarray, w: np.ndarray | None, row_bounds: np.ndarra
     return key_d, w_d, np.diff(np.searchsorted(key_s, row_bounds))
 
 
+def _sort_engine(total: int):
+    """The installed tile engine when it engages on ``total`` keys."""
+    t = _tiles.current()
+    return t if t is not None and t.engaged(total) else None
+
+
 def _charge_dedup(space: ExecSpace, phase: str, total: int, bins: np.ndarray) -> None:
     """The sort-dedup charge: binning scatter, per-bin sorts, merge sweep.
 
@@ -141,8 +148,7 @@ def sorted_dedup(
     ``packed`` with ``mu``/``mv`` as ``None``.
     """
     total = len(packed if packed is not None else mu)
-    t = _tiles.current()
-    eng = t if t is not None and t.engaged(total) else None
+    eng = _sort_engine(total)
     if w is None:
         # power-of-two radix: same (mu, mv) lex order, and the pair
         # unpacks from the sorted key with a shift and a mask; the key
@@ -337,32 +343,21 @@ def _construct_sort_regular(
         key_w = (mu_w * key_t(1 << shift) + mv_w)[cross_w]
         return key_w, None if unit_w else np.asarray(g.ewgts[e0:e1])[cross_w]
 
-    with ExitStack() as stack:
-        if plan.budget is None:
+    row_bounds = np.arange(n_c + 1, dtype=key_t) << shift
+    with (_chunked.SpillArena() if plan.budget is not None else nullcontext()) as arena:
+        if arena is None:
             parts = plan.run(window)
             key = _tiles.join_windows([p[0] for p in parts])
             w = None if unit_w else _tiles.join_windows([p[1] for p in parts])
+            dedup = partial(_resident_dedup, key, w, row_bounds, _sort_engine(len(key)))
         else:
-            arena = stack.enter_context(_chunked.SpillArena())
             key, w = _spill_sweep(plan, window, arena, key_t, unit_w)
+            dedup = partial(_spilled_dedup, key, w, row_bounds, plan.window, arena)
         _charge_map_sweep(space, g)
         vwgts = coarse_vertex_weights(g, mapping, space)
-
-        c = len(key)
-        row_bounds = np.arange(n_c + 1, dtype=key_t) << shift
         with space.span("dedup", strategy="sort", skew_opt=False):
-            spilled = plan.budget is not None and _spilled_dedup(
-                key, w, row_bounds, plan.window, arena
-            )
-            if spilled:
-                key_d, w_d, bins = spilled
-            else:
-                if plan.budget is not None:  # packed word would overflow
-                    key, w = np.array(key), np.array(w)
-                t = _tiles.current()
-                eng = t if t is not None and t.engaged(c) else None
-                key_d, w_d, bins = _resident_dedup(key, w, row_bounds, eng)
-            _charge_dedup(space, "construction", c, bins)
+            key_d, w_d, bins = dedup()
+            _charge_dedup(space, "construction", len(key), bins)
     cv = key_d & key_t((1 << shift) - 1)
     space.ledger.charge(
         "construction",
@@ -444,8 +439,8 @@ def _spilled_dedup(key_mm, w_mm, row_bounds, win: int, arena):
     runs; weighted keys are re-spilled as unique packed
     ``(key << idx_bits) + index`` words, so the external sort's order
     is the stable argsort and each run's weights sum in one segment.
-    Returns None when that packed word would overflow int64 — the
-    caller then deduplicates resident.
+    When that packed word would overflow int64 the keys are read back
+    and deduplicated resident — serially, like every budget window.
     """
     if w_mm is None:
         key_s = _chunked.external_sort(key_mm, win, arena)
@@ -453,7 +448,7 @@ def _spilled_dedup(key_mm, w_mm, row_bounds, win: int, arena):
         return key_d, counts.astype(WT), np.diff(np.searchsorted(key_s, row_bounds))
     ok, idx_bits = _packable(len(key_mm), int(row_bounds[-1]))
     if not ok:
-        return None
+        return _resident_dedup(np.array(key_mm), np.array(w_mm), row_bounds, None)
     packed_mm = _stream_pack_index(key_mm, arena, win, idx_bits)
     packed_s = _chunked.external_sort(packed_mm, win, arena)
     key_d, w_d = _chunked.weighted_runs_stream(packed_s, idx_bits, w_mm, win)
@@ -529,17 +524,10 @@ def _construct_sort_skewed_budgeted(
             bounds = np.arange(n_c + 1, dtype=key_t) << shift
         else:
             bounds = np.arange(n_c + 1, dtype=np.int64) * np.int64(n_c)
-        spilled = _spilled_dedup(key_mm, w_mm, bounds, plan.window, arena)
-        if spilled:
-            key_d, w_d, bins = spilled
-            _charge_dedup(space, "construction", len(key_mm), bins)
-            if unit_w:
-                mu_d, mv_d = key_d >> shift, key_d & key_t((1 << shift) - 1)
-            else:
-                mu_d, mv_d = key_d // np.int64(n_c), key_d % np.int64(n_c)
-        else:  # packed word would overflow: dedup resident
-            key = np.array(key_mm)
-            mu_d, mv_d, w_d = sorted_dedup(
-                key // np.int64(n_c), key % np.int64(n_c), np.array(w_mm), n_c, space
-            )
+        key_d, w_d, bins = _spilled_dedup(key_mm, w_mm, bounds, plan.window, arena)
+        _charge_dedup(space, "construction", len(key_mm), bins)
+        if unit_w:
+            mu_d, mv_d = key_d >> shift, key_d & key_t((1 << shift) - 1)
+        else:
+            mu_d, mv_d = key_d // np.int64(n_c), key_d % np.int64(n_c)
     return _transpose_finalize(n_c, mu_d, mv_d, w_d, vwgts, space, g.name)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..types import VI, vi_array, wt_array
+from ..types import VI, WT, vi_array, wt_array
 
 __all__ = ["CSRGraph"]
 
@@ -192,9 +192,10 @@ class CSRGraph:
             src = np.repeat(np.arange(r1 - r0, dtype=VI), degs[r0:r1])
             return np.bincount(src, weights=self.ewgts[e0:e1], minlength=r1 - r0)
 
+        # astype: an edgeless graph's bincount is integer-typed
         out = _tiles.join_windows(
             _tiles.for_each_row_window(self, self.xadj, self.m_directed, _WDEG_BPE, window)
-        )
+        ).astype(WT, copy=False)
         out.setflags(write=False)
         object.__setattr__(self, "_wdeg", out)
         return out

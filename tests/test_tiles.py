@@ -20,6 +20,7 @@ from repro.bench.harness import run_coarsening, run_partition, space_for
 from repro.coarsen.hec import heavy_neighbors, hec_parallel
 from repro.coarsen.hem import unmatched_heavy_neighbors
 from repro.construct import construct_sort
+from repro.construct.dedup import is_skewed
 from repro.csr import CSRGraph, from_edge_list
 from repro.generators.kron import rmat
 from repro.parallel import serial_space, tiles
@@ -43,7 +44,7 @@ from repro.storage import budget as budget_mod
 from repro.storage.budget import MemoryBudget
 from repro.storage.chunked import row_windows
 from repro.trace.core import Tracer
-from repro.types import UNMAPPED, VI
+from repro.types import UNMAPPED, VI, WT
 
 from tests.conftest import random_connected
 
@@ -366,7 +367,8 @@ def inputs(big, tmp_path_factory):
     """Resident graphs big enough to tile, mapped ones to stream."""
     out = {
         "rmat": big,  # skewed, unit weights, > 64Ki entries
-        "regular": random_connected(12_000, 24_000, seed=7, weighted=False),
+        # big enough that even the HEM queue (two thirds unmatched) tiles
+        "regular": random_connected(16_000, 40_000, seed=7, weighted=False),
     }
     small = {
         "regular_w": random_connected(400, 900, seed=11, weighted=True),
@@ -375,6 +377,8 @@ def inputs(big, tmp_path_factory):
         "skewed_u": _skewed_graph(weighted=False),
         "skewed_w": _skewed_graph(weighted=True),
         "hub": _hub_graph(),
+        "edgeless": from_edge_list(5, np.zeros(0, dtype=int), np.zeros(0, dtype=int),
+                                   name="edgeless"),
     }
     root = tmp_path_factory.mktemp("mapped")
     for name, g in small.items():
@@ -398,7 +402,7 @@ def _rng(seed):
     return np.random.default_rng(seed)
 
 
-#: kernel -> (arguments built outside any mode, call(g, space, *args))
+#: kernel -> (arguments built inside the mode, call(g, space, *args))
 KERNELS = {
     "spmv": (lambda g: (_rng(0).standard_normal(g.n),),
              lambda g, s, x: spmv(g, x, s)),
@@ -411,35 +415,58 @@ KERNELS = {
                       lambda g, s, part: compute_gains(g, part)),
     "weighted_degrees": (lambda g: (_fresh(g),),
                          lambda g, s, twin: twin.weighted_degrees()),
+    # the mapping (hec_parallel) is part of the output: it is built
+    # under the same mode and must match the resident one too
     "construct_sort": (lambda g: (hec_parallel(g, serial_space()),),
-                       lambda g, s, mapping: construct_sort(g, mapping, s)),
+                       lambda g, s, mapping: (mapping.m, construct_sort(g, mapping, s))),
 }
 
 
+def _entries(kernel, g) -> int:
+    """Edge entries the kernel's row-window plan sweeps."""
+    if kernel == "unmatched_heavy_neighbors":
+        return int(g.degrees()[_hem_queue(g)[1]].sum())
+    return g.m_directed
+
+
 def _as_bytes(out) -> bytes:
+    if isinstance(out, tuple):
+        return b"".join(_as_bytes(o) for o in out)
     if isinstance(out, CSRGraph):
         return b"".join(np.asarray(a).tobytes()
                         for a in (out.xadj, out.adjncy, out.ewgts, out.vwgts))
-    return np.asarray(out).tobytes()
+    out = np.asarray(out)
+    return out.dtype.str.encode() + out.tobytes()
 
 
 def _run(kernel, g, mode=None, size=None, budget=None):
-    """One traced kernel call under ``mode``: (bytes, ledger, trace, budget)."""
+    """One traced kernel call under ``mode``.
+
+    Returns ``(bytes, ledger, trace, budget, engagements, tiled)``: the
+    budget engagements and tiled engine kernels of the call itself.
+    Arguments are built under the mode too (construction's mapping is
+    ``hec_parallel`` windowed or tiled at ``size``), before the counts
+    start.
+    """
     if mode is not None and "budget" in mode and budget is None:
         # a one-byte ceiling engages on every kernel; the floor makes
         # every window exactly ``size`` entries (or one whole hub row)
         budget = MemoryBudget(1, window_fraction=0.0, min_window=size)
     eng = TileEngine(3, size) if mode is not None and "threads" in mode else None
     make_args, call = KERNELS[kernel]
-    args = make_args(g)
     space = space_for("gpu")
     tr = Tracer("t").attach(space)
     with budget_mod.limit(budget), tiles.limit(eng):
+        args = make_args(g)
+        b0 = budget.engaged if budget is not None else 0
+        k0 = eng.kernels if eng is not None else 0
         out = call(g, space, *args)
+        engagements = budget.engaged - b0 if budget is not None else 0
+        tiled = eng.kernels - k0 if eng is not None else 0
     tr.close()
     if eng is not None:
         eng.close()
-    return _as_bytes(out), ledger_dict(space), tr.to_dict(), budget
+    return _as_bytes(out), ledger_dict(space), tr.to_dict(), budget, engagements, tiled
 
 
 class TestKernelParity:
@@ -449,15 +476,29 @@ class TestKernelParity:
     resident and mapped graphs, weighted and skewed."""
 
     def _matrix(self, kernel, inputs, size):
+        tiled_cases = 0
         for name, g in inputs.items():
             want = _run(kernel, g)
+            entries = _entries(kernel, g)
             for mode in MODES:
                 got = _run(kernel, g, mode, size)
                 assert got[:3] == want[:3], (name, mode)
-                b = got[3]
+                b, engagements, tiled = got[3:]
                 if b is not None:
-                    # one engagement per kernel call, windows recorded
-                    assert b.engaged == 1 and b.peak_planned > 0, (name, mode)
+                    # every non-empty sweep engages once and records its
+                    # windows; budget windows run serially (precedence)
+                    assert engagements == (1 if entries else 0), (name, mode)
+                    assert b.peak_planned > 0 or not entries, (name, mode)
+                    assert tiled == 0, (name, mode)
+                elif not (kernel == "construct_sort" and is_skewed(g)):
+                    # the plan tiles exactly when the engine engages on
+                    # the kernel's own entry count (the fused one-pass
+                    # skewed construct sweep stays resident by design)
+                    engages = TileEngine(3, size).engaged(entries)
+                    assert (tiled >= 1) == engages, (name, mode, tiled)
+                    tiled_cases += engages
+        if size <= DEFAULT_TILE_ENTRIES:
+            assert tiled_cases, "no input was large enough to tile"
 
     @pytest.mark.parametrize("te", SIZES)
     def test_spmv(self, inputs, te):
@@ -487,6 +528,11 @@ class TestKernelParity:
     def test_construct_sort(self, inputs, te):
         self._matrix("construct_sort", inputs, te)
 
+    def test_edgeless_weighted_degrees_are_weights(self, inputs):
+        """Resident dtype; the matrix compares every mode's dtype to it."""
+        wd = _fresh(inputs["edgeless"]).weighted_degrees()
+        assert wd.dtype == WT and not wd.any()
+
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
     def test_budget_sized_windows(self, inputs, kernel):
         """Under a ceiling that sizes its windows, the planned working
@@ -497,7 +543,7 @@ class TestKernelParity:
             b = MemoryBudget(16 << 10, min_window=1)
             got = _run(kernel, g, mode, DEFAULT_TILE_ENTRIES, budget=b)
             assert got[:3] == want[:3]
-            assert b.engaged == 1
+            assert got[4] == 1 and got[5] == 0
             assert 0 < b.peak_planned <= b.resident_bytes
 
     @pytest.mark.parametrize("skewed", [False, True])
@@ -515,6 +561,7 @@ class TestKernelParity:
         for mode in ("budget", "budget+threads"):
             got = _run("construct_sort", g, mode, 97)
             assert got[:3] == want[:3], mode
+            assert got[5] == 0, mode  # the fallback sorts serially too
         assert len(calls) == 2  # the fallback ran under both modes
 
 
