@@ -11,16 +11,7 @@ from .cost import CostLedger, KernelCost
 from .execspace import ExecSpace, cpu_space, gpu_space, serial_space
 from .machine import RYZEN32_CPU, TURING_GPU, MachineModel
 from .memory import MemoryTracker, SimulatedOOM
-from .pool import (
-    ExperimentTask,
-    PoolOutcome,
-    PoolTimeout,
-    WorkerCrash,
-    default_jobs,
-    format_pool_summary,
-    publish_corpus,
-    run_experiments,
-)
+from .pool import ExperimentTask, format_pool_summary, publish_corpus
 from .primitives import (
     compact_nonnegative,
     exclusive_prefix_sum,
@@ -49,13 +40,8 @@ __all__ = [
     "MemoryTracker",
     "SimulatedOOM",
     "ExperimentTask",
-    "PoolOutcome",
-    "PoolTimeout",
-    "WorkerCrash",
-    "default_jobs",
     "format_pool_summary",
     "publish_corpus",
-    "run_experiments",
     "SessionJournal",
     "SessionMismatch",
     "SessionOutcome",

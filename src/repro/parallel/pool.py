@@ -1,73 +1,51 @@
-"""Multiprocess experiment executor with a shared-memory corpus.
+"""The experiment task model and the worker side of the executor.
 
 The paper's evaluation is a large cross-product (coarseners ×
 constructors × machines × graphs × seeds) of *independent* runs, and the
 simulated numbers each run produces are fully determined by its
-configuration — exactly the shape mt-Metis and Kokkos treat as the
-baseline case for multi-core fan-out.  This module fans that
-cross-product over a process pool:
+configuration.  :func:`repro.parallel.session.run_session` is the one
+executor that fans that cross-product out; this module holds what it
+runs:
 
-* **Shared-memory corpus.**  The parent loads each needed corpus graph
-  once (through the PR-1 artifact cache, whose per-entry file lock is
-  the cross-process single-flight guard: concurrent loaders serialise
-  and only the first pays generation) and publishes its CSR arrays via
-  ``multiprocessing.shared_memory``.  Workers map them zero-copy with
-  :meth:`repro.csr.graph.CSRGraph.from_shared` — no per-task pickling of
-  hundred-MB arrays, no per-worker regeneration.
+* **Task model.**  :class:`ExperimentTask` is one configuration; its
+  :meth:`~ExperimentTask.key` is the deterministic-merge key, and
+  :func:`task_weight` is the tier-aware largest-first (LPT) weight the
+  session schedules by.
+* **Shared-memory corpus.**  :func:`publish_corpus` loads each needed
+  corpus graph once (through the artifact cache, whose per-entry file
+  lock single-flights concurrent generation) and publishes its CSR
+  arrays via ``multiprocessing.shared_memory``.  Workers map them
+  zero-copy with :meth:`repro.csr.graph.CSRGraph.from_shared` — no
+  per-task pickling of hundred-MB arrays, no per-worker regeneration.
 * **Warm per-worker scratch.**  Each worker caches its mapped graphs
   (and with them the graph's memoised ``degrees()``/``tie_mask()``
   scratch) across tasks, so repeated runs on the same graph skip both
   the mapping and the derived-array rebuilds.
-* **Largest-first scheduling.**  Tasks are submitted biggest graph
-  first (LPT), so a long-running graph never ends up as the lone
-  straggler behind an otherwise drained queue.
-* **Deterministic merge.**  Results are keyed by task configuration and
-  re-emitted in the caller's task order, never in completion order —
-  the merged results, ledger totals, and trace rollups are bitwise
-  identical to a serial run at any ``jobs`` value and any scheduling
-  interleave.
-* **Failure surfacing.**  A crashed worker raises :class:`WorkerCrash`
-  (carrying the earliest unfinished task) instead of hanging the pool;
-  an optional wall-clock ``timeout`` terminates a deadlocked pool.
+* **Task execution.**  :func:`_run_task` runs one task to a picklable
+  scalar row plus trace dict — the same bytes in the parent and in any
+  worker, which is what makes the merge byte-identical at any ``jobs``.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing as mp
 import os
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .. import faultinject
 from ..csr.graph import CSRGraph
 from ..generators.tiers import TIER_SCALES, parse_tier_name
 from ..storage import mapped as mapped_storage
 from . import shm as shm_lifecycle
-from .tiles import usable_cores
 
 __all__ = [
     "ExperimentTask",
-    "PoolOutcome",
-    "WorkerCrash",
-    "PoolTimeout",
-    "run_experiments",
     "publish_corpus",
     "task_weight",
-    "default_jobs",
     "format_pool_summary",
 ]
-
-
-class WorkerCrash(RuntimeError):
-    """A worker process died (signal/os._exit) while the pool ran."""
-
-
-class PoolTimeout(RuntimeError):
-    """The pool exceeded its wall-clock budget; workers were terminated."""
 
 
 def task_weight(graph: str, seed: int, sizes: dict) -> int:
@@ -94,10 +72,6 @@ def task_weight(graph: str, seed: int, sizes: dict) -> int:
     if base_measured is not None:
         return int(base_measured) * scale
     return scale
-
-
-#: the ``--jobs 0`` resolution: every usable (affinity-aware) core
-default_jobs = usable_cores
 
 
 @dataclass(frozen=True)
@@ -133,14 +107,6 @@ class ExperimentTask:
         if self.memory_budget is not None:
             parts.append(f"mb{self.memory_budget}")
         return ":".join(parts)
-
-
-@dataclass
-class PoolOutcome:
-    """Merged results (in task order) plus the pool's own accounting."""
-
-    results: list = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
 
 
 # ------------------------------------------------------------- worker side
@@ -347,161 +313,10 @@ def _check_unique(tasks: Sequence[ExperimentTask]) -> None:
         seen[k] = i
 
 
-def run_experiments(
-    tasks: Sequence[ExperimentTask],
-    jobs: int = 1,
-    *,
-    task_fn: Callable | None = None,
-    mp_context=None,
-    timeout: float | None = None,
-    share_corpus: bool = True,
-    threads: int | None = None,
-) -> PoolOutcome:
-    """Run ``tasks`` on ``jobs`` processes; merge deterministically.
-
-    ``threads`` is the per-worker tile-thread budget
-    (:mod:`repro.parallel.tiles`); it is clamped so ``jobs x threads``
-    never oversubscribes the machine, and ``None`` leaves any engine
-    already installed by the caller untouched.
-
-    ``jobs <= 1`` runs everything inline in this process (the serial
-    reference path); larger values fan out over a
-    :class:`~concurrent.futures.ProcessPoolExecutor` seeded with the
-    shared-memory corpus.  Results come back in **task order**, keyed by
-    each task's configuration, so the output is bitwise independent of
-    the interleave.  ``timeout`` bounds the whole run in wall-clock
-    seconds: on expiry workers are terminated and :class:`PoolTimeout`
-    raised, so a deadlocked pool fails fast instead of hanging CI.
-    """
-    tasks = list(tasks)
-    run_one = task_fn if task_fn is not None else _run_task
-    if task_fn is None:
-        _check_unique(tasks)
-    t_start = time.perf_counter()
-    by_key: dict[str, dict] = {}
-    workers: dict[int, dict] = {}
-    busy = 0.0
-
-    def record(out: dict) -> None:
-        nonlocal busy
-        by_key[out["key"]] = out["row"]
-        w = workers.setdefault(out["pid"], {"tasks": 0, "busy_s": 0.0})
-        w["tasks"] += 1
-        w["busy_s"] += out["wall_s"]
-        busy += out["wall_s"]
-
-    from . import tiles
-
-    worker_threads = (
-        None if threads is None else tiles.clamp_threads(threads, max(1, jobs))
-    )
-    shared_bytes = 0
-    if jobs <= 1:
-        _worker_init({}, worker_threads)
-        for t in tasks:
-            record(run_one(t))
-    else:
-        descriptors: dict = {}
-        handles: list = []
-        sizes: dict = {}
-        if share_corpus:
-            descriptors, handles, sizes = publish_corpus(
-                (t.graph, t.seed) for t in tasks
-            )
-            shared_bytes = sum(d["nbytes"] for d in descriptors.values())
-        # LPT: biggest graph first (tier-aware), original order tie-break
-        order = sorted(
-            range(len(tasks)),
-            key=lambda i: (-task_weight(tasks[i].graph, tasks[i].seed, sizes), i),
-        )
-        ctx = mp_context or mp.get_context(
-            "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        )
-        deadline = None if timeout is None else t_start + timeout
-        executor = ProcessPoolExecutor(
-            max_workers=jobs,
-            mp_context=ctx,
-            initializer=_worker_init,
-            initargs=(descriptors, worker_threads),
-        )
-        try:
-            futures = [(executor.submit(run_one, tasks[i]), i) for i in order]
-            for future, i in futures:
-                budget = None if deadline is None else deadline - time.perf_counter()
-                try:
-                    record(future.result(timeout=budget))
-                except FutureTimeoutError:
-                    _terminate(executor)
-                    raise PoolTimeout(
-                        f"pool exceeded {timeout:.1f}s wall-clock budget while "
-                        f"running {tasks[i].key()!r}"
-                    ) from None
-                except BrokenExecutor as e:
-                    raise WorkerCrash(
-                        f"worker process died while running {tasks[i].key()!r}: {e}"
-                    ) from e
-            executor.shutdown(wait=True)
-        except BaseException:
-            _terminate(executor)
-            raise
-        finally:
-            _release(handles)
-
-    wall = time.perf_counter() - t_start
-    results = [by_key[t.key()] for t in tasks] if task_fn is None else [
-        by_key[k] for k in by_key
-    ]
-    jobs_eff = max(1, jobs)
-    summary = {
-        "jobs": jobs_eff,
-        "tasks": len(tasks),
-        "wall_s": wall,
-        "busy_s": busy,
-        "utilization": busy / (jobs_eff * wall) if wall > 0 else 0.0,
-        # wall-clock the pool spent beyond a perfectly balanced split of
-        # the busy time: startup + scheduling + imbalance + merge
-        "overhead_s": max(0.0, wall - busy / jobs_eff),
-        "shared_mib": shared_bytes / (1024 * 1024),
-        "workers": {
-            pid: dict(stats) for pid, stats in sorted(workers.items())
-        },
-    }
-    if worker_threads is not None:
-        summary["threads"] = worker_threads
-    eng = tiles.current()
-    if jobs <= 1 and eng is not None:
-        summary["tiles"] = eng.snapshot()
-    return PoolOutcome(results=results, summary=summary)
-
-
-def _terminate(executor: ProcessPoolExecutor) -> None:
-    """Kill worker processes and abandon the executor without waiting.
-
-    Used on timeout/crash paths where ``shutdown(wait=True)`` could hang
-    behind a deadlocked worker.  After terminating the children the
-    executor's atexit wakeup is neutered: its pipe may already be closed
-    by the dying management thread, and writing to it at interpreter
-    exit only produces "Exception ignored" noise.
-    """
-    processes = getattr(executor, "_processes", None) or {}
-    for p in list(processes.values()):
-        try:
-            p.terminate()
-        except Exception:  # pragma: no cover - racing process exit
-            pass
-    executor.shutdown(wait=False, cancel_futures=True)
-    wakeup = getattr(executor, "_executor_manager_thread_wakeup", None)
-    if wakeup is not None:
-        wakeup.wakeup = lambda: None
-    thread = getattr(executor, "_executor_manager_thread", None)
-    if thread is not None:
-        thread.join(timeout=5.0)
-
-
 def format_pool_summary(summary: dict) -> str:
     """Human-readable session summary: per-worker utilization + overhead.
 
-    Fault-tolerant sessions add a recovery line (retries, worker
+    A session that met faults adds a recovery line (retries, worker
     crashes, hang kills, quarantined tasks, resumed-from-journal count)
     and one line per degradation, so a run that survived faults says so
     instead of looking like a clean one.

@@ -1,7 +1,8 @@
-"""Multiprocess experiment executor: determinism, shm corpus, failure modes."""
+"""The experiment executor: determinism, shm corpus, failure modes."""
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
 import time
 
@@ -11,16 +12,14 @@ from repro.bench.report import main as bench_main
 from repro.generators import corpus
 from repro.parallel.pool import (
     ExperimentTask,
-    PoolTimeout,
-    WorkerCrash,
-    default_jobs,
     format_pool_summary,
     publish_corpus,
-    run_experiments,
     task_weight,
 )
+from repro.parallel.session import run_session
+from repro.parallel.tiles import usable_cores
 
-CPUS = default_jobs()
+CPUS = usable_cores()
 
 
 class TestTaskWeight:
@@ -94,8 +93,8 @@ class TestDeterministicMerge:
             for g in ("ppa", "citation")
             for c in ("hec", "hem")
         ]
-        serial = run_experiments(tasks, jobs=1)
-        pooled = run_experiments(tasks, jobs=2)
+        serial = run_session(tasks, jobs=1)
+        pooled = run_session(tasks, jobs=2)
         # full row equality: scalar fields AND the trace dict (span tree,
         # rollups, ledger totals) must match the serial reference exactly
         assert serial.results == pooled.results
@@ -107,13 +106,24 @@ class TestDeterministicMerge:
             ExperimentTask(kind="coarsen", graph=g)
             for g in ("ppa", "kron21", "citation")
         ]
-        out = run_experiments(tasks, jobs=2)
+        out = run_session(tasks, jobs=2)
         assert [r["graph"] for r in out.results] == ["ppa", "kron21", "citation"]
+
+    def test_task_fn_results_follow_task_order(self):
+        # the first task finishes last; a task_fn run must still merge
+        # by configuration, not in completion order
+        tasks = [
+            ExperimentTask(kind="coarsen", graph=g) for g in ("slow", "b", "c", "d")
+        ]
+        out = run_session(tasks, jobs=2, task_fn=_slow_first_task)
+        assert [r["graph"] for r in out.results] == ["slow", "b", "c", "d"]
 
     def test_duplicate_config_rejected(self):
         tasks = [ExperimentTask(kind="coarsen", graph="ppa")] * 2
         with pytest.raises(ValueError, match="duplicate task configuration"):
-            run_experiments(tasks, jobs=1)
+            run_session(tasks, jobs=1)
+        with pytest.raises(ValueError, match="duplicate task configuration"):
+            run_session(tasks, jobs=2, task_fn=_load_graph_task)
 
 
 class TestPoolSummary:
@@ -121,7 +131,7 @@ class TestPoolSummary:
         tasks = [
             ExperimentTask(kind="coarsen", graph="ppa", seed=s) for s in range(3)
         ]
-        out = run_experiments(tasks, jobs=2)
+        out = run_session(tasks, jobs=2)
         s = out.summary
         assert s["jobs"] == 2 and s["tasks"] == 3
         assert s["wall_s"] > 0 and s["busy_s"] > 0
@@ -133,7 +143,7 @@ class TestPoolSummary:
         assert "worker" in text and "utilization" in text
 
     def test_serial_summary(self):
-        out = run_experiments([ExperimentTask(kind="coarsen", graph="ppa")], jobs=1)
+        out = run_session([ExperimentTask(kind="coarsen", graph="ppa")], jobs=1)
         assert out.summary["jobs"] == 1
         assert out.summary["shared_mib"] == 0.0
         assert len(out.summary["workers"]) == 1
@@ -162,6 +172,17 @@ def _sleepy_task(task):  # noqa: ARG001 - pool task signature
     time.sleep(600)
 
 
+def _slow_first_task(task):
+    if task.graph == "slow":
+        time.sleep(1.0)
+    return {
+        "key": task.key(),
+        "pid": os.getpid(),
+        "wall_s": 0.0,
+        "row": {"graph": task.graph},
+    }
+
+
 def _load_graph_task(task):
     g, _spec = corpus.load(task.graph, task.seed)
     return {
@@ -183,28 +204,42 @@ def _tiny_factory(seed):
     return from_edge_list(32, src, src + 1)
 
 
+def _no_stranded_children():
+    for child in mp.active_children():
+        child.join(5.0)
+        assert not child.is_alive(), child
+
+
 class TestFailureSurfacing:
-    def test_worker_crash_raises_instead_of_hanging(self):
+    def test_worker_crash_quarantines_instead_of_hanging(self):
         tasks = [ExperimentTask(kind="coarsen", graph="ppa", seed=s) for s in range(4)]
         t0 = time.monotonic()
-        with pytest.raises(WorkerCrash, match="worker process died"):
-            run_experiments(
-                tasks, jobs=2, task_fn=_crash_task, share_corpus=False, timeout=120
-            )
+        out = run_session(tasks, jobs=2, task_fn=_crash_task, retries=0)
         assert time.monotonic() - t0 < 60
+        assert out.results == []
+        assert [f["key"] for f in out.failed] == [t.key() for t in tasks]
+        assert {f["kind"] for f in out.failed} == {"WorkerCrash"}
+        assert all("worker process died" in f["error"] for f in out.failed)
+        _no_stranded_children()
 
     def test_pool_timeout_terminates_workers(self):
         tasks = [ExperimentTask(kind="coarsen", graph="ppa")]
         t0 = time.monotonic()
-        with pytest.raises(PoolTimeout, match="wall-clock budget"):
-            run_experiments(
-                tasks, jobs=2, task_fn=_sleepy_task, share_corpus=False, timeout=1.0
-            )
+        out = run_session(
+            tasks, jobs=2, task_fn=_sleepy_task, retries=0, task_timeout=1.0
+        )
         assert time.monotonic() - t0 < 60
+        assert out.summary["hangs"] == 1
+        assert [f["kind"] for f in out.failed] == ["TaskHang"]
+        _no_stranded_children()
 
-    def test_unknown_kind_raises(self):
-        with pytest.raises(ValueError, match="unknown task kind"):
-            run_experiments([ExperimentTask(kind="nope", graph="ppa")], jobs=1)
+    def test_unknown_kind_quarantined(self):
+        out = run_session(
+            [ExperimentTask(kind="nope", graph="ppa")], jobs=1, retries=0
+        )
+        assert out.results == []
+        assert [f["kind"] for f in out.failed] == ["ValueError"]
+        assert "unknown task kind" in out.failed[0]["error"]
 
 
 class TestSingleFlight:
@@ -229,9 +264,7 @@ class TestSingleFlight:
             for m in ("gpu", "cpu")
             for c in ("hec", "hem")
         ]
-        out = run_experiments(
-            tasks, jobs=4, task_fn=_load_graph_task, share_corpus=False, timeout=120
-        )
+        out = run_session(tasks, jobs=4, task_fn=_load_graph_task)
         assert len(out.results) == 4
         assert all(r["n"] == 32 for r in out.results)
         assert len(gen_log.read_text().splitlines()) == 1
@@ -249,7 +282,7 @@ class TestSpeedup:
                            reps=5, warmup=1)
             for spec in corpus.CORPUS
         ]
-        serial = run_experiments(tasks, jobs=1)
-        pooled = run_experiments(tasks, jobs=4)
+        serial = run_session(tasks, jobs=1)
+        pooled = run_session(tasks, jobs=4)
         speedup = serial.summary["wall_s"] / pooled.summary["wall_s"]
         assert speedup >= 2.5, f"--jobs 4 speedup only x{speedup:.2f}"

@@ -197,12 +197,10 @@ class TestResolveClamp:
         from argparse import Namespace
 
         from repro.bench.report import _resolve_jobs
-        from repro.parallel.pool import default_jobs
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         assert usable_cores() == 1
-        assert default_jobs() == 1
         assert resolve_threads(0, env={}) == 1
         assert _resolve_jobs(Namespace(jobs=4)) == 1
         assert clamp_threads(4, 2) == 1
@@ -665,15 +663,16 @@ class TestPoolComposition:
                 os.environ["REPRO_THREADS"] = old
             tiles.configure(1)
 
-    def test_run_experiments_threads_parity(self, big):
-        """The pool summary path with threads composes with jobs=1."""
-        from repro.parallel.pool import ExperimentTask, run_experiments
+    def test_run_session_threads_parity(self, big):
+        """The session summary path with threads composes with jobs=1."""
+        from repro.parallel.pool import ExperimentTask
+        from repro.parallel.session import run_session
 
         tasks = [ExperimentTask(kind="coarsen", graph="ppa", machine="gpu",
                                 coarsener="hec", constructor="sort",
                                 seed=0, oom=False)]
-        base = run_experiments(tasks, jobs=1)
-        threaded = run_experiments(tasks, jobs=1, threads=2)
+        base = run_session(tasks, jobs=1)
+        threaded = run_session(tasks, jobs=1, threads=2)
         assert threaded.results == base.results
         assert threaded.summary.get("threads") == 2
         assert "tiles" in threaded.summary
