@@ -71,7 +71,7 @@ SITES = {
     "shm.publish": "parent, before one graph is published to shared memory (labels: graph)",
     "shm.attach": "worker, before mapping a published graph (labels: graph)",
     "cache.store": "any process, before an artifact-cache entry is written (labels: key)",
-    "journal.write": "parent, before one journal record is appended (labels: type, seq)",
+    "journal.write": "session parent or serving daemon, before one session or request-log record is appended (labels: type, seq)",
     "serve.exec": "serving daemon, before one request executes (labels: op, graph)",
     "serve.journal": "serving daemon, before one state-journal record is appended (labels: type, seq)",
     "serve.recover": "serving daemon, before one journal record is replayed on --recover (labels: type, seq)",

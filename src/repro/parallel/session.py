@@ -51,12 +51,12 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
-from pathlib import Path
 from typing import Callable, Sequence
 
 from .. import faultinject
-from ..cache.atomic import atomic_write_bytes, fsync_dir
+from ..cache.atomic import atomic_write_bytes
 from ..cache.store import fingerprint_payload
+from ..journal import Journal, digest
 from .pool import (
     ExperimentTask,
     _check_unique,
@@ -84,10 +84,6 @@ JOURNAL_SCHEMA = 1
 _KILL_JOIN_S = 5.0
 
 
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def row_digest(row: dict) -> str:
     """Stable 16-hex digest of a result row (trace rollups included).
 
@@ -95,7 +91,7 @@ def row_digest(row: dict) -> str:
     torn or bit-rotted journal line can never smuggle a wrong row into
     a resumed session's results.
     """
-    return hashlib.sha256(_canonical(row).encode()).hexdigest()[:16]
+    return digest(row)
 
 
 def backoff_delay(
@@ -122,97 +118,26 @@ class SessionMismatch(ValueError):
     """The journal in the resume directory belongs to a different task set."""
 
 
-class SessionJournal:
-    """Append-only, fsynced JSONL journal of one experiment session.
+class SessionJournal(Journal):
+    """JSONL journal of one experiment session (:mod:`repro.journal`).
 
-    Each record is one line, written + flushed + ``fsync``'d before the
-    session proceeds, so a SIGKILL at any instant loses at most the
-    record being written — and a torn trailing line is detected (JSON
-    parse failure / missing newline) and truncated away on resume.  The
-    directory entry is fsynced on creation via the PR-1 primitives.
-
-    A journal-write failure (disk full) does not kill the session: the
-    journal disarms itself, the degradation is recorded, and the run
-    continues without resume coverage.
+    Durable by default: each record is ``fsync``'d before the session
+    proceeds, and a torn trailing line is truncated away on resume.
+    ``durable=False`` only flushes, for the serving daemon's request
+    log, whose records are telemetry.  A write failure (disk full)
+    disarms the journal and the run continues without resume coverage.
     """
 
+    name = JOURNAL_NAME
+    site = "journal.write"
+    failure = (
+        "journal write failed ({}); the session continues but this run "
+        "can no longer be resumed"
+    )
+
     def __init__(self, directory, *, durable: bool = True):
-        self.dir = Path(directory)
-        self.path = self.dir / JOURNAL_NAME
+        super().__init__(directory)
         self.durable = durable
-        self._fh = None
-        self.seq = 0
-        self.disabled = False
-        self.write_failures = 0
-
-    @staticmethod
-    def scan(path) -> tuple[list[dict], int]:
-        """Parse a journal; returns ``(records, valid_byte_length)``.
-
-        Replay stops at the first torn or unparsable line; everything
-        before it is intact (each line was fsynced before the next was
-        written).
-        """
-        try:
-            blob = Path(path).read_bytes()
-        except (FileNotFoundError, OSError):
-            return [], 0
-        records: list[dict] = []
-        valid = 0
-        for raw in blob.splitlines(keepends=True):
-            if not raw.endswith(b"\n"):
-                break  # torn tail from a killed writer
-            try:
-                rec = json.loads(raw)
-            except ValueError:
-                break
-            if not isinstance(rec, dict):
-                break
-            records.append(rec)
-            valid += len(raw)
-        return records, valid
-
-    def open(self, *, truncate_to: int | None = None) -> None:
-        self.dir.mkdir(parents=True, exist_ok=True)
-        fh = open(self.path, "ab")
-        if truncate_to is not None:
-            fh.truncate(truncate_to)
-        self._fh = fh
-        fsync_dir(self.dir)
-
-    def append(self, record: dict) -> bool:
-        """Durably append one record; False when journaling is degraded."""
-        if self.disabled or self._fh is None:
-            return False
-        record = {"seq": self.seq, **record}
-        try:
-            faultinject.fire(
-                "journal.write", type=record.get("type", ""), seq=self.seq
-            )
-            self._fh.write((_canonical(record) + "\n").encode())
-            self._fh.flush()
-            if self.durable:
-                os.fsync(self._fh.fileno())
-        except OSError as e:
-            self.disabled = True
-            self.write_failures += 1
-            warnings.warn(
-                f"journal write failed ({e}); the session continues but this "
-                "run can no longer be resumed",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return False
-        self.seq += 1
-        return True
-
-    def close(self) -> None:
-        if self._fh is not None:
-            try:
-                self._fh.close()
-            except OSError:  # pragma: no cover
-                pass
-            self._fh = None
 
 
 @dataclass
@@ -664,8 +589,7 @@ def run_session(
                     f"journal at {journal.path} was written by a different "
                     f"task set (fingerprint {head.get('tasks_fp')!r} != {fp!r})"
                 )
-            journal.open(truncate_to=valid)
-            journal.seq = len(records)
+            journal.open(truncate_to=valid, seq=len(records))
             key_set = set(keys)
             for rec in records[1:]:
                 if rec.get("type") != "done":

@@ -28,24 +28,22 @@ lose to a SIGKILL:
   it as a strike against the request's digest, and repeat offenders are
   quarantined (typed error, tenant stays live).
 
-Every record is one JSONL line carrying its own sha256 digest, written
-+ flushed + fsynced before the daemon acts on it; :meth:`ServeJournal.scan`
-verifies digests and truncates the torn tail exactly like the session
-journal.  ``serve --recover DIR`` replays the valid prefix in order
-through :func:`recover_executor` and continues appending to the same
-file, so recovery is idempotent across any number of crashes.
+Every record is one JSONL line sealed with a sha256 digest of its other
+fields and fsynced before the daemon acts on it.  Appending, scanning
+and torn-tail truncation are the shared :class:`repro.journal.Journal`;
+:meth:`ServeJournal.scan` also stops at the first record whose digest
+does not match.  ``serve --recover DIR`` replays
+the valid prefix in order through :func:`recover_executor` and
+continues appending to the same file, so recovery is idempotent across
+any number of crashes.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import warnings
 from pathlib import Path
 
 from .. import faultinject
-from ..cache.atomic import fsync_dir
+from ..journal import Journal, digest
 
 __all__ = [
     "STATE_NAME",
@@ -61,14 +59,9 @@ STATE_NAME = "state.jsonl"
 STATE_SCHEMA = 1
 
 
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def record_digest(record: dict) -> str:
     """16-hex sha256 of a record (excluding its own ``sha`` field)."""
-    body = {k: v for k, v in record.items() if k != "sha"}
-    return hashlib.sha256(_canonical(body).encode()).hexdigest()[:16]
+    return digest({k: v for k, v in record.items() if k != "sha"})
 
 
 def request_digest(req: dict) -> str:
@@ -78,8 +71,7 @@ def request_digest(req: dict) -> str:
     identity: a retry of a crashing request must land on the same
     digest, or repeat offenders would never accumulate strikes.
     """
-    core = {k: v for k, v in req.items() if k not in ("idem", "deadline_ms")}
-    return hashlib.sha256(_canonical(core).encode()).hexdigest()[:16]
+    return digest({k: v for k, v in req.items() if k not in ("idem", "deadline_ms")})
 
 
 def tape_digest(tape) -> str:
@@ -96,103 +88,37 @@ def tape_digest(tape) -> str:
             events.append(["charge", ev[1], ev[2].as_dict()])
         else:
             events.append(list(ev))
-    doc = {
+    return digest({
         "machine": tape.machine,
         "events": events,
         "rng": tape.rng_state,
         "complete": bool(tape.complete),
-    }
-    return hashlib.sha256(_canonical(doc).encode()).hexdigest()[:16]
+    })
 
 
-class ServeJournal:
-    """Append-only, digest-verified, per-record-fsynced state journal.
+class ServeJournal(Journal):
+    """Digest-verified, per-record-fsynced state journal (:mod:`repro.journal`).
 
-    Unlike the request journal every record here is durable: the daemon
-    never acts on (or acks) state it could not recover.  A write failure
-    (disk full) disarms the journal and is warned about — the daemon
-    keeps serving, it just loses crash coverage, the same degradation
-    contract as the session journal.
+    Unlike the request log every record here is durable: the daemon
+    never acts on (or acks) state it could not recover.  Each record
+    carries a ``sha`` over its other fields; :meth:`scan` stops at the
+    first record whose ``sha`` does not match.
     """
 
-    def __init__(self, directory):
-        self.dir = Path(directory)
-        self.path = self.dir / STATE_NAME
-        self._fh = None
-        self.seq = 0
-        self.disabled = False
-        self.write_failures = 0
+    name = STATE_NAME
+    site = "serve.journal"
+    failure = (
+        "state journal write failed ({}); the daemon keeps serving but "
+        "this run can no longer be crash-recovered"
+    )
 
     @staticmethod
-    def scan(path) -> tuple[list[dict], int]:
-        """Parse a state journal: ``(records, valid_byte_length)``.
+    def _seal(record: dict) -> dict:
+        return {**record, "sha": record_digest(record)}
 
-        Stops at the first torn line (no trailing newline), unparsable
-        line, or digest mismatch — everything before it was fsynced
-        before the next record was written, so the valid prefix is the
-        exact pre-crash state.
-        """
-        try:
-            blob = Path(path).read_bytes()
-        except (FileNotFoundError, OSError):
-            return [], 0
-        records: list[dict] = []
-        valid = 0
-        for raw in blob.splitlines(keepends=True):
-            if not raw.endswith(b"\n"):
-                break
-            try:
-                rec = json.loads(raw)
-            except ValueError:
-                break
-            if not isinstance(rec, dict) or rec.get("sha") != record_digest(rec):
-                break
-            records.append(rec)
-            valid += len(raw)
-        return records, valid
-
-    def open(self, *, truncate_to: int | None = None, seq: int = 0) -> None:
-        self.dir.mkdir(parents=True, exist_ok=True)
-        fh = open(self.path, "ab")
-        if truncate_to is not None:
-            fh.truncate(truncate_to)
-        self._fh = fh
-        self.seq = seq
-        fsync_dir(self.dir)
-
-    def append(self, record: dict) -> bool:
-        """Durably append one record; False when journaling is degraded."""
-        if self.disabled or self._fh is None:
-            return False
-        record = {"seq": self.seq, **record}
-        try:
-            faultinject.fire(
-                "serve.journal", type=record.get("type", ""), seq=self.seq
-            )
-            record["sha"] = record_digest(record)
-            self._fh.write((_canonical(record) + "\n").encode())
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-        except OSError as e:
-            self.disabled = True
-            self.write_failures += 1
-            warnings.warn(
-                f"state journal write failed ({e}); the daemon keeps serving "
-                "but this run can no longer be crash-recovered",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return False
-        self.seq += 1
-        return True
-
-    def close(self) -> None:
-        if self._fh is not None:
-            try:
-                self._fh.close()
-            except OSError:  # pragma: no cover
-                pass
-            self._fh = None
+    @staticmethod
+    def _verify(record: dict) -> bool:
+        return record.get("sha") == record_digest(record)
 
 
 class PoisonTracker:

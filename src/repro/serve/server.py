@@ -176,7 +176,8 @@ class Server:
         self._sock = sock
         if self.config.log_dir is not None:
             # journal without fsync-per-record: request logging must not
-            # bottleneck the loadtest; a torn tail is detected on scan
+            # bottleneck the loadtest; open() cuts a torn tail left by
+            # an earlier run and continues its sequence
             self._journal = SessionJournal(self.config.log_dir, durable=False)
             self._journal.open()
             self._journal.append(

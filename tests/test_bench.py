@@ -216,3 +216,16 @@ class TestWallclockBaseline:
         assert wallclock_key("gpu", "hec", "sort", 0) == "gpu:hec:sort:s0"
         assert wallclock_key("gpu", "hec", "sort", 0, jobs=1) == "gpu:hec:sort:s0"
         assert wallclock_key("gpu", "hec", "sort", 0, jobs=2) == "gpu:hec:sort:s0:j2"
+
+
+def test_benchmark_hook_targets_resolve():
+    """Every entry point and registry the traced benchmark wraps by name
+    exists, so a rename fails here rather than in the benchmark run."""
+    from perfbench import tracing
+
+    for _name, target in tracing.ENTRY_POINTS:
+        owner, attr = tracing._resolve(target)
+        assert callable(getattr(owner, attr, None)), target
+    for _layer, target in tracing.REGISTRIES:
+        owner, attr = tracing._resolve(target)
+        assert isinstance(getattr(owner, attr, None), dict), target

@@ -145,5 +145,6 @@ class TestModuleState:
 
     def test_sites_registry_covers_wired_points(self):
         for site in ("pool.worker", "pool.create", "shm.publish",
-                     "shm.attach", "cache.store", "journal.write"):
+                     "shm.attach", "cache.store", "journal.write",
+                     "serve.journal", "serve.recover"):
             assert site in faultinject.SITES

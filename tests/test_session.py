@@ -76,34 +76,6 @@ class TestBackoff:
 
 
 class TestJournal:
-    def test_append_scan_round_trip(self, tmp_path):
-        j = SessionJournal(tmp_path)
-        j.open()
-        j.append({"type": "session", "tasks_fp": "abc"})
-        j.append({"type": "done", "key": "k", "row": {"x": 1.5}})
-        j.close()
-        records, valid = SessionJournal.scan(j.path)
-        assert [r["type"] for r in records] == ["session", "done"]
-        assert records[1]["row"] == {"x": 1.5}
-        assert valid == j.path.stat().st_size
-
-    def test_torn_tail_detected_and_truncated(self, tmp_path):
-        j = SessionJournal(tmp_path)
-        j.open()
-        j.append({"type": "session", "tasks_fp": "abc"})
-        j.close()
-        with open(j.path, "ab") as fh:
-            fh.write(b'{"type": "done", "key": "k", "ro')  # torn write
-        records, valid = SessionJournal.scan(j.path)
-        assert len(records) == 1
-        assert valid < j.path.stat().st_size
-        j2 = SessionJournal(tmp_path)
-        j2.open(truncate_to=valid)
-        assert j2.path.stat().st_size == valid
-
-    def test_scan_missing_file(self, tmp_path):
-        assert SessionJournal.scan(tmp_path / "nope.jsonl") == ([], 0)
-
     def test_row_digest_stable_across_json_round_trip(self):
         row = {"graph": "ppa", "total_s": 0.123456789e-3, "levels": 2}
         replayed = json.loads(json.dumps(row))
