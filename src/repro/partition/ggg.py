@@ -22,46 +22,49 @@ __all__ = ["greedy_graph_growing"]
 
 def _grow_once(g: CSRGraph, seed: int) -> np.ndarray:
     n = g.n
-    part = np.ones(n, dtype=np.int8)  # 1 = not yet grown
+    xadj, adjncy, ewgts = g.xadj, g.adjncy, g.ewgts
+    vw = g.vwgts.tolist()
     target = g.vwgts.sum() / 2.0
+    slack = target + g.vwgts.max()
     grown_w = 0.0
-    gain = np.zeros(n)
-    heap: list[tuple[float, int]] = []
-    stamp = np.zeros(n, dtype=np.int64)
-
-    def push(v: int) -> None:
-        heapq.heappush(heap, (-gain[v], stamp[v], v))
+    # per-vertex state on Python lists: the frontier loop indexes them
+    # once per neighbour, where NumPy scalars would dominate its cost
+    part = [1] * n  # 1 = not yet grown
+    # gain of a frontier vertex = (edges into region) - (edges outside);
+    # absorbing v flips its incident region edges, hence the 2w updates.
+    gain = (-g.weighted_degrees()).tolist()
+    stamp = [0] * n
+    heap: list[tuple[float, int, int]] = []
 
     def absorb(v: int) -> None:
         nonlocal grown_w
         part[v] = 0
-        grown_w += g.vwgts[v]
-        for u, w in zip(g.neighbors(v), g.edge_weights(v)):
+        grown_w += vw[v]
+        lo, hi = xadj[v], xadj[v + 1]
+        for u, w in zip(adjncy[lo:hi].tolist(), ewgts[lo:hi].tolist()):
             if part[u] == 1:
                 gain[u] += 2.0 * w
                 stamp[u] += 1
-                push(int(u))
+                heapq.heappush(heap, (-gain[u], stamp[u], u))
 
-    # gain of a frontier vertex = (edges into region) - (edges outside);
-    # absorbing v flips its incident region edges, hence the 2w updates.
-    gain[:] = -g.weighted_degrees()
     absorb(seed)
     while grown_w < target and heap:
-        negg, st, v = heapq.heappop(heap)
+        _, st, v = heapq.heappop(heap)
         if part[v] == 0 or st != stamp[v]:
             continue  # stale entry
-        if grown_w + g.vwgts[v] > target + g.vwgts.max():
+        if grown_w + vw[v] > slack:
             continue  # would overshoot badly; try the next candidate
-        absorb(int(v))
+        absorb(v)
     # the frontier can empty before the target on disconnected graphs:
     # dump remaining vertices until the region reaches half weight
     if grown_w < target:
-        for v in np.flatnonzero(part == 1):
+        for v in range(n):
             if grown_w >= target:
                 break
-            part[v] = 0
-            grown_w += g.vwgts[v]
-    return part.astype(np.int8)
+            if part[v] == 1:
+                part[v] = 0
+                grown_w += vw[v]
+    return np.array(part, dtype=np.int8)
 
 
 def greedy_graph_growing(g: CSRGraph, space: ExecSpace, trials: int = 4) -> np.ndarray:

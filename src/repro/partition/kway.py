@@ -29,6 +29,8 @@ from .multilevel import spectral_vector
 __all__ = ["quantile_split", "greedy_kway_refine", "kway_from_hierarchy"]
 
 _B = 8
+#: adjacency length above which a row's part connections are one bincount
+_DENSE_ROW = 64
 
 
 def quantile_split(x: np.ndarray, vwgts: np.ndarray, k: int) -> np.ndarray:
@@ -69,50 +71,71 @@ def greedy_kway_refine(
     """Greedy boundary refinement: move vertices to their best part.
 
     Each pass scans the boundary vertices in index order and moves a
-    vertex to the part it is most heavily connected to, when that gain
-    is positive and the target stays under ``(1 + balance_tol)`` of the
-    ideal part weight.  Deterministic; stops early on a pass with no
-    moves.  Charged to the ``refinement`` phase like FM.
+    vertex to the part it is most heavily connected to (the lowest
+    index among ties), when that gain is positive and the target stays
+    under ``(1 + balance_tol)`` of the ideal part weight.  Moves made
+    earlier in a pass are visible to later vertices.  Deterministic;
+    stops early on a pass with no moves.  Charged to the ``refinement``
+    phase like FM.
     """
     part = part.astype(np.int32).copy()
     n = g.n
     if n == 0 or k <= 1:
         return part
-    vw = g.vwgts
+    xadj, adjncy, ewgts = g.xadj, g.adjncy, g.ewgts
+    vw = g.vwgts.tolist()
     w = partition_weights(g, part, k)
-    cap = w.sum() / k * (1.0 + balance_tol)
+    cap = float(w.sum() / k * (1.0 + balance_tol))
+    w = w.tolist()
     src = g.edge_sources()
 
     for _ in range(max_passes):
-        cut_mask = part[src] != part[g.adjncy]
+        cut_mask = part[src] != part[adjncy]
         boundary = np.unique(src[cut_mask])
         # one streaming sweep over the edge list + the boundary's adjacency
         space.ledger.charge(
             "refinement",
             KernelCost(stream_bytes=2.0 * _B * g.m, flops=float(g.m), launches=2),
         )
+        # ``pl`` mirrors ``part`` as a list for per-neighbour lookups;
+        # a move updates both, so later vertices see it
+        pl = part.tolist()
         moved = 0
-        conn = np.zeros(k)
-        for v in boundary:
-            lo, hi = g.xadj[v], g.xadj[v + 1]
-            conn[:] = 0.0
-            np.add.at(conn, part[g.adjncy[lo:hi]], g.ewgts[lo:hi])
-            cur = part[v]
-            gains = conn - conn[cur]
-            gains[cur] = -np.inf
-            gains[w + vw[v] > cap] = -np.inf
-            target = int(np.argmax(gains))
-            if gains[target] > 0:
-                part[v] = target
-                w[cur] -= vw[v]
-                w[target] += vw[v]
+        los, his = xadj[boundary], xadj[boundary + 1]
+        for v, lo, hi in zip(boundary.tolist(), los.tolist(), his.tolist()):
+            # connection weight per adjacent part, summed in adjacency
+            # order (the same float64 sums as a scatter-add from zero);
+            # ``bincount`` sums in that order too, and pays off on long rows
+            if hi - lo > _DENSE_ROW:
+                row = np.bincount(part[adjncy[lo:hi]], weights=ewgts[lo:hi], minlength=k)
+                adj = np.flatnonzero(row)
+                conn = dict(zip(adj.tolist(), row[adj].tolist()))
+            else:
+                conn = {}
+                for u, wt in zip(adjncy[lo:hi].tolist(), ewgts[lo:hi].tolist()):
+                    q = pl[u]
+                    conn[q] = conn.get(q, 0.0) + wt
+            cur = pl[v]
+            base = conn.get(cur, 0.0)
+            x = vw[v]
+            # lowest-index part with the strictly largest positive gain
+            # under the cap; a non-adjacent part's gain is -conn[cur] <= 0
+            target, best = -1, 0.0
+            for q, c in conn.items():
+                if q == cur or w[q] + x > cap:
+                    continue
+                gain = c - base
+                if gain > best or (gain == best and target >= 0 and q < target):
+                    target, best = q, gain
+            if target >= 0:
+                pl[v] = part[v] = target
+                w[cur] -= x
+                w[target] += x
                 moved += 1
         space.ledger.charge(
             "refinement",
             KernelCost(
-                stream_bytes=_B * (g.xadj[boundary + 1] - g.xadj[boundary]).sum()
-                if len(boundary)
-                else 0.0,
+                stream_bytes=_B * (his - los).sum() if len(boundary) else 0.0,
                 flops=float(k) * len(boundary),
                 launches=1,
             ),
